@@ -32,11 +32,9 @@ from .coloring import (
     build_cayley_coloring,
     coloring_digest,
     dumps_coloring,
-    edge_color,
     load_coloring,
     loads_coloring,
     save_coloring,
-    to_explicit,
 )
 from .construct import (
     CHUNG_PLAN,
@@ -64,8 +62,8 @@ __all__ = [
     "CosetPartition", "NormalizedWitness", "find_normalized_clique",
     "negation_closed", "power_cosets", "sieve",
     "CirculantColoring", "EdgeColoring", "ExplicitColoring", "FormatError",
-    "build_cayley_coloring", "coloring_digest", "dumps_coloring", "edge_color",
-    "load_coloring", "loads_coloring", "save_coloring", "to_explicit",
+    "build_cayley_coloring", "coloring_digest", "dumps_coloring",
+    "load_coloring", "loads_coloring", "save_coloring",
     "CHUNG_PLAN", "BlockMap", "BlockPlan", "CompositionError",
     "CompositionInput", "bound_value", "chung_compose",
     "RamseyCertificate", "VerificationReport", "certify", "find_mono_clique",

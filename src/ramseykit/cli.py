@@ -28,7 +28,8 @@ def _parse_targets(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"targets must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"targets must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_galois(text: str) -> tuple[int, int]:
@@ -36,15 +37,17 @@ def _parse_galois(text: str) -> tuple[int, int]:
         p, k = (int(tok) for tok in text.split(","))
         return p, k
     except ValueError:
-        raise ValueError(f"--galois expects p,k, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected p,k, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        return args.threads
-    return os.cpu_count() or 1
+    return args.threads or os.cpu_count() or 1
 
 
 def _cmd_primes(args) -> int:
@@ -55,8 +58,7 @@ def _cmd_primes(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.galois is not None:
-        p, k = _parse_galois(args.galois)
-        specs = [make_field(p, k)]
+        specs = [make_field(*args.galois)]
     else:
         if args.lo is None or args.hi is None:
             print("error: search needs --min and --max (or --galois p,k)", file=sys.stderr)
@@ -89,8 +91,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     coloring = load_coloring(args.input)
-    targets = _parse_targets(args.targets)
-    cert = certify(coloring, targets, args.cert, workers=_threads(args),
+    cert = certify(coloring, args.targets, args.cert, workers=_threads(args),
                    deterministic=args.deterministic)
     if cert.passed:
         print(f"PASS {cert.statement()}")
@@ -102,8 +103,7 @@ def _cmd_verify(args) -> int:
 def _cmd_compose(args) -> int:
     t_coloring = load_coloring(args.t_file)
     g_coloring = load_coloring(args.g_file)
-    targets = _parse_targets(args.targets)
-    comp = CompositionInput(t_coloring, g_coloring, targets)
+    comp = CompositionInput(t_coloring, g_coloring, args.targets)
     composed = chung_compose(comp, validate=not args.no_validate, workers=_threads(args))
     save_coloring(composed, args.out)
     print(f"wrote {args.out} (n={composed.n}, colors={composed.num_colors})")
@@ -112,7 +112,7 @@ def _cmd_compose(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, metavar="N",
+    common.add_argument("--threads", type=_positive_int, default=None, metavar="N",
                         help="worker processes (default: all cores)")
     common.add_argument("--deterministic", action="store_true",
                         help="always report the lexicographically least witness")
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clique size to avoid")
     p.add_argument("--min", dest="lo", type=int)
     p.add_argument("--max", dest="hi", type=int)
-    p.add_argument("--galois", metavar="P,K",
+    p.add_argument("--galois", type=_parse_galois, metavar="P,K",
                    help="search the single field GF(p^k) instead of a prime range")
     p.set_defaults(func=_cmd_search)
 
@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="exhaustively check a coloring against clique targets")
     p.add_argument("-i", dest="input", required=True, help="coloring file")
-    p.add_argument("--targets", required=True, help="comma-separated clique sizes")
+    p.add_argument("--targets", type=_parse_targets, required=True,
+                   help="comma-separated clique sizes")
     p.add_argument("--cert", default=None, help="write a certificate file here")
     p.set_defaults(func=_cmd_verify)
 
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness avoiding (3,3,k1,...,kr), r+2 colors")
     p.add_argument("--g", dest="g_file", required=True,
                    help="witness avoiding (k1,...,kr), r colors")
-    p.add_argument("--targets", required=True, help="k1,...,kr")
+    p.add_argument("--targets", type=_parse_targets, required=True, help="k1,...,kr")
     p.add_argument("-o", dest="out", required=True, help="output coloring file")
     p.add_argument("--no-validate", action="store_true",
                    help="skip verifying the inputs first")
@@ -191,6 +192,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except AssertionError as exc:  # a failed self-check, never a refutation
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

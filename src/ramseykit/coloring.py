@@ -7,7 +7,8 @@ representations are supported:
   {u, v} depends only on the difference v - u.  Stored as per-color
   connection sets (each closed under negation, so the coloring is
   symmetric).
-* explicit: one byte per edge in a flat upper-triangular buffer.
+* explicit: one byte per edge in a flat upper-triangular buffer, read
+  through ``ExplicitColoring.matrix`` as a symmetric n*n byte matrix.
 
 The text file format is line oriented and version tagged::
 
@@ -24,7 +25,6 @@ save/load round trip is byte exact.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from hashlib import sha256
 from pathlib import Path
 
@@ -158,13 +158,6 @@ class ExplicitColoring(EdgeColoring):
         self.n = n
         self.num_colors = num_colors
         self._tri = tri
-        # _row_start[u] = buffer offset of the row for vertex u
-        starts = []
-        pos = 0
-        for u in range(n):
-            starts.append(pos)
-            pos += n - 1 - u
-        self._row_start = starts
 
     @classmethod
     def from_function(cls, n: int, num_colors: int, fn) -> "ExplicitColoring":
@@ -179,21 +172,32 @@ class ExplicitColoring(EdgeColoring):
         self._check_pair(u, v)
         if u > v:
             u, v = v, u
-        return self._tri[self._row_start[u] + v - u - 1]
+        # row u starts at offset u*(2n-u-1)/2 and holds the edges {u, u+1..n-1}
+        return self._tri[u * (2 * self.n - u - 3) // 2 + v - 1]
+
+    def matrix(self, table=None) -> bytearray:
+        """Symmetric row-major n*n byte matrix of the edge colors, 0 on the
+        diagonal.  With a 256-byte table every entry is mapped through it
+        (``bytes.translate``), so the diagonal becomes ``table[0]``."""
+        n, tri = self.n, self._tri
+        m = bytearray([0 if table is None else table[0]]) * (n * n)
+        start = 0
+        for u in range(n - 1):
+            row = tri[start:start + n - 1 - u]
+            if table is not None:
+                row = row.translate(table)
+            m[u * n + u + 1:(u + 1) * n] = row  # row u, right of the diagonal
+            m[(u + 1) * n + u::n] = row          # column u, below it
+            start += n - 1 - u
+        return m
 
     def neighbor_rows(self, color: int) -> list[int]:
         self._check_color(color)
-        rows = [0] * self.n
-        tri = self._tri
-        starts = self._row_start
-        i = tri.find(color)
-        while i >= 0:
-            u = bisect_right(starts, i) - 1
-            v = i - starts[u] + u + 1
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            i = tri.find(color, i + 1)
-        return rows
+        bits = bytearray(b"0" * 256)
+        bits[color] = ord("1")
+        n, m = self.n, self.matrix(bits)
+        # reversed so that column v lands on bit v
+        return [int(m[u * n:(u + 1) * n][::-1], 2) for u in range(n)]
 
     def to_explicit(self) -> "ExplicitColoring":
         return self
@@ -212,18 +216,11 @@ def build_cayley_coloring(partition: CosetPartition) -> CirculantColoring:
     return CirculantColoring(partition.field, partition.cosets)
 
 
-def edge_color(coloring: EdgeColoring, u: int, v: int) -> int:
-    return coloring.edge_color(u, v)
-
-
-def to_explicit(coloring: EdgeColoring) -> ExplicitColoring:
-    return coloring.to_explicit()
-
-
 # -- serialization --------------------------------------------------------
 
 _META_RE = re.compile(r"^n=(\d+) colors=(\d+) repr=(circulant|explicit)$")
 _FIELD_RE = re.compile(r"^field=(\d+)(?:\^(\d+) poly=(\d+(?:,\d+)*))?$")
+_TOKENS = [str(c) for c in range(256)]
 
 
 def dumps_coloring(coloring: EdgeColoring) -> str:
@@ -240,12 +237,10 @@ def dumps_coloring(coloring: EdgeColoring) -> str:
         for i, s in enumerate(coloring.connection_sets, 1):
             lines.append(f"color {i}:" + "".join(f" {d}" for d in s))
     else:
-        tri = coloring._tri
-        starts = coloring._row_start
-        n = coloring.n
-        for u in range(n - 1):
-            row = tri[starts[u]:starts[u] + n - 1 - u]
-            lines.append(" ".join(str(b) for b in row))
+        n, m = coloring.n, coloring.matrix()
+        token = _TOKENS.__getitem__
+        lines += [" ".join(map(token, m[u * n + u + 1:(u + 1) * n])) for u in range(n - 1)]
+        del m  # free the matrix before the joined text is built
     return "\n".join(lines) + "\n"
 
 
@@ -300,17 +295,20 @@ def _parse_circulant(n: int, num_colors: int, body: list[str]) -> CirculantColor
 def _parse_explicit(n: int, num_colors: int, body: list[str]) -> ExplicitColoring:
     if len(body) != n - 1:
         raise FormatError(f"expected {n - 1} row lines, got {len(body)}")
-    tri = bytearray()
+    rows = []
     for u, line in enumerate(body):
-        row = line.split()
-        if len(row) != n - 1 - u:
-            raise FormatError(f"row {u} should list {n - 1 - u} colors, got {len(row)}")
-        for tok in row:
-            c = int(tok)
-            if not 1 <= c <= num_colors:
-                raise FormatError(f"color out of range: {c}")
-            tri.append(c)
-    return ExplicitColoring(n, num_colors, bytes(tri))
+        tokens = line.split()
+        if len(tokens) != n - 1 - u:
+            raise FormatError(f"row {u} should list {n - 1 - u} colors, got {len(tokens)}")
+        try:
+            row = bytes(map(int, tokens))
+        except ValueError:
+            raise FormatError(f"row {u}: color out of range or not an integer") from None
+        lo, hi = min(row), max(row)
+        if lo < 1 or hi > num_colors:
+            raise FormatError(f"color out of range: {lo if lo < 1 else hi}")
+        rows.append(row)
+    return ExplicitColoring(n, num_colors, b"".join(rows))
 
 
 def save_coloring(coloring: EdgeColoring, destination) -> None:

@@ -16,9 +16,13 @@ colors shifted up by 3:
 Each block maps T's colors 1 and 2 through a fixed permutation pattern
 and shifts every color >= 3 up by one; cross blocks also color the
 same-index vertex pairs (the block "diagonal") with a fixed constant.
-The pattern is chosen so colors 1..3 stay triangle-free and so the
-positions of every color >= 4 are identical in all six blocks, which
-pins any high-colored clique of H back into a single copy of T.
+Colors 1 and 2 become 2,3 in A; 3,1 in B; 1,2 in C; 2,1 in D; 1,3 in E;
+and 3,2 in F; the diagonals of D, E and F are colored 3, 2 and 1.  The
+pattern is chosen so colors 1..3 stay triangle-free and so the positions
+of every color >= 4 are identical in all six blocks, which pins any
+high-colored clique of H back into a single copy of T.  Each row of H is
+assembled from T's matrix rows, each block's slice mapped through that
+block's 256-byte translation table.
 
 If both inputs verify against their targets, H verifies against
 (3, 3, 3, k_1, ..., k_r), giving the bound
@@ -61,19 +65,23 @@ class BlockMap:
             return self.color2
         return c + 1
 
+    @property
+    def table(self) -> bytes:
+        """apply() as a bytes.translate table; entry 0 is the diagonal constant."""
+        return bytes([self.diag, self.color1, self.color2, *range(4, 256), 0])
+
 
 @dataclass(frozen=True)
 class BlockPlan:
     """Placement and color maps for the six T-derived blocks.
 
     ``diagonal[i]`` recolors copy i+1; ``cross`` maps (row copy, column
-    copy) positions to their block; ``strip_colors`` are the constant
-    colors of the G-to-copy edges.
+    copy) positions to their block.  The edges from G to copy i+1 all get
+    color i+1.
     """
 
     diagonal: tuple[BlockMap, BlockMap, BlockMap]
     cross: tuple[tuple[tuple[int, int], BlockMap], ...]
-    strip_colors: tuple[int, int, int] = (1, 2, 3)
 
 
 # The one configuration (up to renaming) whose colors 1..3 stay triangle-free.
@@ -134,50 +142,22 @@ def chung_compose(comp: CompositionInput, validate: bool = True, *,
             raise CompositionError("G", color, report.cliques[color - 1])
 
     nT, nG = T.n, G.n
-    n = 3 * nT + nG
-    tE = T.to_explicit()
-    gE = G.to_explicit()
-    plan = CHUNG_PLAN
+    tm = T.to_explicit().matrix()
+    gm = G.to_explicit().matrix(bytes([0, *range(4, 256), 0, 0, 0]))  # colors + 3
+    blocks = dict(CHUNG_PLAN.cross)  # (row copy, column copy) -> BlockMap, 1-based
+    blocks.update(((c, c), bm) for c, bm in enumerate(CHUNG_PLAN.diagonal, 1))
 
-    row_start = []
-    pos = 0
-    for u in range(n):
-        row_start.append(pos)
-        pos += n - 1 - u
-    tri = bytearray(pos)
-
-    def put(u: int, v: int, c: int) -> None:
-        if u > v:
-            u, v = v, u
-        tri[row_start[u] + v - u - 1] = c
-
-    for copy, bm in enumerate(plan.diagonal):
-        base = copy * nT
+    # each vertex's triangle row: its matrix row in H, right of the diagonal
+    tri = []
+    for copy in range(3):
+        tables = [blocks[max(copy, col) + 1, min(copy, col) + 1].table for col in range(3)]
+        strip = bytes([copy + 1]) * nG
         for i in range(nT):
-            for j in range(i + 1, nT):
-                put(base + i, base + j, bm.apply(tE.edge_color(i, j)))
-
-    for (row_copy, col_copy), bm in plan.cross:
-        rb = (row_copy - 1) * nT
-        cb = (col_copy - 1) * nT
-        for i in range(nT):
-            for j in range(nT):
-                c = bm.diag if i == j else bm.apply(tE.edge_color(i, j))
-                put(rb + i, cb + j, c)
-
-    gbase = 3 * nT
-    for gi in range(nG):
-        for copy in range(3):
-            strip = plan.strip_colors[copy]
-            base = copy * nT
-            for i in range(nT):
-                put(base + i, gbase + gi, strip)
-
-    for i in range(nG):
-        for j in range(i + 1, nG):
-            put(gbase + i, gbase + j, gE.edge_color(i, j) + 3)
-
-    return ExplicitColoring(n, len(targets) + 3, bytes(tri))
+            t_row = tm[i * nT:(i + 1) * nT]
+            row = b"".join([t_row.translate(t) for t in tables] + [strip])
+            tri.append(row[copy * nT + i + 1:])
+    tri += [gm[i * nG + i + 1:(i + 1) * nG] for i in range(nG)]
+    return ExplicitColoring(3 * nT + nG, len(targets) + 3, b"".join(tri))
 
 
 def bound_value(M: int, R: int) -> int:

@@ -22,6 +22,7 @@ from pathlib import Path
 from .coloring import EdgeColoring, FormatError, coloring_digest
 
 CERT_HEADER = "ramsey-certificate v1"
+_CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
 
 
 def _dfs(rows: list[int], cand: int, need: int, prefix: list[int], stats: list[int]):
@@ -241,16 +242,28 @@ def read_certificate(source) -> RamseyCertificate:
     fields = {}
     for line in lines[1:]:
         key, _, value = line.partition("=")
+        if key not in _CERT_KEYS or key in fields:
+            raise FormatError(f"unknown or repeated certificate key {key!r}")
         fields[key] = value
     try:
         targets = tuple(int(k) for k in fields["targets"].split(","))
+        n = int(fields["n"])
+        if n < 1:
+            raise ValueError(f"n={n} is not a vertex count")
+        if fields["verdict"] not in ("pass", "fail"):
+            raise ValueError(f"verdict {fields['verdict']!r} is neither pass nor fail")
         passed = fields["verdict"] == "pass"
         clique_color = clique = None
         if not passed:
             color_part, _, verts = fields["clique"].partition(":")
             clique_color = int(color_part)
             clique = tuple(int(v) for v in verts.split(","))
-        return RamseyCertificate(targets, int(fields["n"]), passed, fields["coloring-sha"],
+            if not (1 <= clique_color <= len(targets)
+                    and len(set(clique)) == len(clique) == targets[clique_color - 1]
+                    and all(0 <= v < n for v in clique)):
+                raise ValueError(f"clique {fields['clique']} is not a K_k of its color's "
+                                 f"target k on distinct vertices 0..{n - 1}")
+        return RamseyCertificate(targets, n, passed, fields["coloring-sha"],
                                  clique_color=clique_color, clique=clique)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed certificate: {exc}") from exc

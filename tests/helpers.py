@@ -37,3 +37,28 @@ def multiplicative_order(spec, a):
         x = spec.mul(x, a)
         order += 1
     return order
+
+
+# The block table of construct.py's docstring: per block, the diagonal
+# constant (None inside a copy of T) and the images of T's colors 1 and 2;
+# colors >= 3 shift up by one.  Keys are (row copy, column copy), 1-based.
+_BLOCKS = {(1, 1): (None, 2, 3), (2, 2): (None, 3, 1), (3, 3): (None, 1, 2),  # A B C
+           (2, 1): (3, 2, 1), (3, 1): (2, 1, 3), (3, 2): (1, 3, 2)}           # D E F
+
+
+def composed_color(t, g, u, v):
+    """Color of edge {u, v} of the triple-copy composition of t and g, computed
+    edge by edge: copies 1..3 of t, then g's vertices (part 4)."""
+    u, v = sorted((u, v))
+    n_t = t.n
+    part_u, part_v = min(u // n_t, 3) + 1, min(v // n_t, 3) + 1
+    if part_u == 4:
+        return g.edge_color(u - 3 * n_t, v - 3 * n_t) + 3
+    if part_v == 4:
+        return part_u  # constant strip
+    i, j = u % n_t, v % n_t
+    diag, image1, image2 = _BLOCKS[part_v, part_u]
+    if i == j:
+        return diag
+    c = t.edge_color(i, j)
+    return {1: image1, 2: image2}.get(c, c + 1)

@@ -204,3 +204,36 @@ def test_threads_flag_output_identical(tmp_path, capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert outs[0].splitlines()[0].startswith("7: ")
+
+
+def _pentagon_file(tmp_path, capsys):
+    path = tmp_path / "pentagon.coloring"
+    assert run(capsys, "build", "-p", "5", "-m", "2", "-o", str(path))[0] == 0
+    return path
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--targets", "3,x"], "--targets"),
+    (["verify", "--targets", "3,3", "--threads", "0"], "--threads"),
+    (["search", "--galois", "2", "--mod", "3", "-t", "3"], "--galois"),
+], ids=["targets", "threads", "galois"])
+def test_malformed_argument_exits_2(tmp_path, capsys, argv, flag):
+    path = _pentagon_file(tmp_path, capsys)
+    if argv[0] == "verify":
+        argv = argv[:1] + ["-i", str(path)] + argv[1:]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
+    import ramseykit.cli as cli
+
+    def broken_certify(*args, **kwargs):
+        raise AssertionError("reported clique (0, 1, 2) fails recheck on edge (0, 1)")
+
+    path = _pentagon_file(tmp_path, capsys)
+    monkeypatch.setattr(cli, "certify", broken_certify)
+    code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3,3")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: reported clique")

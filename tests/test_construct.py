@@ -13,6 +13,7 @@ from ramseykit import (
     bound_value,
     build_cayley_coloring,
     chung_compose,
+    coloring_digest,
     make_field,
     power_cosets,
     verify_witness,
@@ -175,3 +176,19 @@ def test_size_matches_bound_arithmetic():
     for n_t, n_g in [(5, 2), (16, 2), (1, 1), (7, 3)]:
         m_bound, r_bound = n_t + 1, n_g + 1
         assert 3 * n_t + n_g + 1 == bound_value(m_bound, r_bound)
+
+
+def test_chain_digests_pinned():
+    # the composition chain GF(16) -> 50 -> 155 -> 481, digests of the
+    # canonical files; a change here changes every composed witness file
+    h50 = chung_compose(CompositionInput(gf16_cubic(), single_edge(), (3,)))
+    pentagon = build_cayley_coloring(power_cosets(make_field(5), 2))
+    h155 = chung_compose(CompositionInput(h50, pentagon, (3, 3)))
+    h481 = chung_compose(CompositionInput(h155, gf16_cubic(), (3, 3, 3)))
+    assert [h.n for h in (h50, h155, h481)] == [50, 155, 481]
+    assert coloring_digest(h50) == (
+        "b0bab1ffd705048f3f910fa55abdcf67be2493c19fa0dcd8daca7ee9a94a04b3")
+    assert coloring_digest(h155) == (
+        "c0b287161ed3458297cc3b7a561884302524d819c0f36d343e59c4576e4a49c0")
+    assert coloring_digest(h481) == (
+        "bb25de5f89ba59b6855e07d05fa564a9c58f714a7f0d8547aff8ab5cc9f425b5")

@@ -4,6 +4,7 @@ import pytest
 
 from ramseykit import (
     ExplicitColoring,
+    FormatError,
     build_cayley_coloring,
     certify,
     coloring_digest,
@@ -196,3 +197,31 @@ def test_certify_241(tmp_path):
     cert = certify(cubic(241), (5, 5, 5), tmp_path / "r555.cert")
     assert cert.passed
     assert cert.statement() == "R(5,5,5)>=242"
+
+
+_PASS = "targets=3,3\nn=5\nverdict=pass\nbound=R(3,3)>=6\ncoloring-sha=0\n"
+_BAD_CERTIFICATES = {
+    "several faults": "targets=3,3\nn=0\nverdict=fail\nclique=9:1\nbogus=1\ncoloring-sha=0\n",
+    "n below 1": _PASS.replace("n=5", "n=0"),
+    "unknown key": _PASS + "bogus=1\n",
+    "duplicate key": _PASS + "n=5\n",
+    "line without key": _PASS + "\n",
+    "unknown verdict": "targets=3,3\nn=5\nverdict=maybe\nclique=1:0,1,2\ncoloring-sha=0\n",
+    "clique color above targets": "clique=3:0,1,2",
+    "clique color 0": "clique=0:0,1,2",
+    "clique size not the target": "clique=1:0,1,2,3",
+    "repeated clique vertex": "clique=1:0,1,1",
+    "clique vertex above n-1": "clique=1:0,1,5",
+    "negative clique vertex": "clique=1:-1,1,2",
+}
+
+
+@pytest.mark.parametrize("body", list(_BAD_CERTIFICATES.values()),
+                         ids=list(_BAD_CERTIFICATES))
+def test_read_certificate_rejects(tmp_path, body):
+    if body.startswith("clique="):
+        body = f"targets=3,3\nn=5\nverdict=fail\n{body}\ncoloring-sha=0\n"
+    path = tmp_path / "bad.cert"
+    path.write_text("ramsey-certificate v1\n" + body)
+    with pytest.raises(FormatError):
+        read_certificate(path)
