@@ -39,7 +39,6 @@ from .coloring import (
 from .construct import (
     CHUNG_PLAN,
     BlockMap,
-    BlockPlan,
     CompositionError,
     CompositionInput,
     bound_value,
@@ -64,7 +63,7 @@ __all__ = [
     "CirculantColoring", "EdgeColoring", "ExplicitColoring", "FormatError",
     "build_cayley_coloring", "coloring_digest", "dumps_coloring",
     "load_coloring", "loads_coloring", "save_coloring",
-    "CHUNG_PLAN", "BlockMap", "BlockPlan", "CompositionError",
+    "CHUNG_PLAN", "BlockMap", "CompositionError",
     "CompositionInput", "bound_value", "chung_compose",
     "RamseyCertificate", "VerificationReport", "certify", "find_mono_clique",
     "read_certificate", "verify_witness",

@@ -1,8 +1,8 @@
 """Command line front end: admissible orders, witness search, build/verify/compose.
 
-Exit codes are a stable contract: 0 pass, 1 refuted, 2 usage error,
-3 internal precondition failure, 4 malformed input file.  Results go to
-stdout; anything diagnostic goes to stderr.
+Exit codes are a stable contract: 0 pass, 1 refuted, 2 usage error, 3 internal
+failure (a precondition, a crashed worker process, a closed stdout), 4 malformed
+input file.  Results go to stdout; anything diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .coloring import FormatError, build_cayley_coloring, load_coloring, save_coloring
 from .construct import CompositionError, CompositionInput, chung_compose
@@ -91,8 +92,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     coloring = load_coloring(args.input)
-    cert = certify(coloring, args.targets, args.cert, workers=_threads(args),
-                   deterministic=args.deterministic)
+    cert = certify(coloring, args.targets, args.cert, workers=_threads(args))
     if cert.passed:
         print(f"PASS {cert.statement()}")
         return EXIT_PASS
@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=_positive_int, default=None, metavar="N",
                         help="worker processes (default: all cores)")
     common.add_argument("--deterministic", action="store_true",
-                        help="always report the lexicographically least witness")
+                        help="accepted and ignored: witnesses are always the "
+                             "lexicographically least")
 
     top = argparse.ArgumentParser(
         prog="ramseykit",
@@ -181,7 +182,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout (`| head`)
+        # devnull takes what is still buffered, so the final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
+    except BrokenProcessPool as exc:
+        print(f"internal error: a worker process died ({exc})", file=sys.stderr)
+        return EXIT_INTERNAL
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADFILE

@@ -7,8 +7,8 @@ representations are supported:
   {u, v} depends only on the difference v - u.  Stored as per-color
   connection sets (each closed under negation, so the coloring is
   symmetric).
-* explicit: one byte per edge in a flat upper-triangular buffer, read
-  through ``ExplicitColoring.matrix`` as a symmetric n*n byte matrix.
+* explicit: one byte per edge in a flat upper-triangular buffer, read as rows
+  through ``ExplicitColoring.tri_rows`` and ``ExplicitColoring.matrix``.
 
 The text file format is line oriented and version tagged::
 
@@ -175,20 +175,25 @@ class ExplicitColoring(EdgeColoring):
         # row u starts at offset u*(2n-u-1)/2 and holds the edges {u, u+1..n-1}
         return self._tri[u * (2 * self.n - u - 3) // 2 + v - 1]
 
+    def tri_rows(self):
+        """Yield, for u = 0..n-2, the colors of the edges {u, u+1} .. {u, n-1}
+        as bytes: row u of the matrix, right of the diagonal."""
+        n, tri, start = self.n, self._tri, 0
+        for u in range(n - 1):
+            yield tri[start:start + n - 1 - u]
+            start += n - 1 - u
+
     def matrix(self, table=None) -> bytearray:
         """Symmetric row-major n*n byte matrix of the edge colors, 0 on the
         diagonal.  With a 256-byte table every entry is mapped through it
         (``bytes.translate``), so the diagonal becomes ``table[0]``."""
-        n, tri = self.n, self._tri
+        n = self.n
         m = bytearray([0 if table is None else table[0]]) * (n * n)
-        start = 0
-        for u in range(n - 1):
-            row = tri[start:start + n - 1 - u]
+        for u, row in enumerate(self.tri_rows()):
             if table is not None:
                 row = row.translate(table)
             m[u * n + u + 1:(u + 1) * n] = row  # row u, right of the diagonal
             m[(u + 1) * n + u::n] = row          # column u, below it
-            start += n - 1 - u
         return m
 
     def neighbor_rows(self, color: int) -> list[int]:
@@ -237,10 +242,8 @@ def dumps_coloring(coloring: EdgeColoring) -> str:
         for i, s in enumerate(coloring.connection_sets, 1):
             lines.append(f"color {i}:" + "".join(f" {d}" for d in s))
     else:
-        n, m = coloring.n, coloring.matrix()
         token = _TOKENS.__getitem__
-        lines += [" ".join(map(token, m[u * n + u + 1:(u + 1) * n])) for u in range(n - 1)]
-        del m  # free the matrix before the joined text is built
+        lines += [" ".join(map(token, row)) for row in coloring.tri_rows()]
     return "\n".join(lines) + "\n"
 
 

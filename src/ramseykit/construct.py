@@ -71,26 +71,13 @@ class BlockMap:
         return bytes([self.diag, self.color1, self.color2, *range(4, 256), 0])
 
 
-@dataclass(frozen=True)
-class BlockPlan:
-    """Placement and color maps for the six T-derived blocks.
-
-    ``diagonal[i]`` recolors copy i+1; ``cross`` maps (row copy, column
-    copy) positions to their block.  The edges from G to copy i+1 all get
-    color i+1.
-    """
-
-    diagonal: tuple[BlockMap, BlockMap, BlockMap]
-    cross: tuple[tuple[tuple[int, int], BlockMap], ...]
-
-
-# The one configuration (up to renaming) whose colors 1..3 stay triangle-free.
-CHUNG_PLAN = BlockPlan(
-    diagonal=(BlockMap(0, 2, 3), BlockMap(0, 3, 1), BlockMap(0, 1, 2)),
-    cross=(((2, 1), BlockMap(3, 2, 1)),
-           ((3, 1), BlockMap(2, 1, 3)),
-           ((3, 2), BlockMap(1, 3, 2))),
-)
+# (row copy, column copy) -> BlockMap, 1-based.  The one configuration (up to
+# renaming) whose colors 1..3 stay triangle-free.  The edges from G to copy i
+# all get color i.
+CHUNG_PLAN = {
+    (1, 1): BlockMap(0, 2, 3), (2, 2): BlockMap(0, 3, 1), (3, 3): BlockMap(0, 1, 2),  # A B C
+    (2, 1): BlockMap(3, 2, 1), (3, 1): BlockMap(2, 1, 3), (3, 2): BlockMap(1, 3, 2),  # D E F
+}
 
 
 @dataclass(frozen=True)
@@ -143,20 +130,18 @@ def chung_compose(comp: CompositionInput, validate: bool = True, *,
 
     nT, nG = T.n, G.n
     tm = T.to_explicit().matrix()
-    gm = G.to_explicit().matrix(bytes([0, *range(4, 256), 0, 0, 0]))  # colors + 3
-    blocks = dict(CHUNG_PLAN.cross)  # (row copy, column copy) -> BlockMap, 1-based
-    blocks.update(((c, c), bm) for c, bm in enumerate(CHUNG_PLAN.diagonal, 1))
 
     # each vertex's triangle row: its matrix row in H, right of the diagonal
     tri = []
     for copy in range(3):
-        tables = [blocks[max(copy, col) + 1, min(copy, col) + 1].table for col in range(3)]
+        tables = [CHUNG_PLAN[max(copy, col) + 1, min(copy, col) + 1].table for col in range(3)]
         strip = bytes([copy + 1]) * nG
         for i in range(nT):
             t_row = tm[i * nT:(i + 1) * nT]
             row = b"".join([t_row.translate(t) for t in tables] + [strip])
             tri.append(row[copy * nT + i + 1:])
-    tri += [gm[i * nG + i + 1:(i + 1) * nG] for i in range(nG)]
+    plus3 = bytes([0, *range(4, 256), 0, 0, 0])  # G's colors + 3
+    tri += [row.translate(plus3) for row in G.to_explicit().tri_rows()]
     return ExplicitColoring(3 * nT + nG, len(targets) + 3, b"".join(tri))
 
 

@@ -14,10 +14,10 @@ the full coloring.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .field import FieldSpec, multiplicative_generator
+from .parallel import ordered_search
 
 _NO_LABEL = 255
 
@@ -149,9 +149,10 @@ class NormalizedWitness:
 
 
 def _subset_search(field: FieldSpec, labels: bytes, sv: tuple[int, ...], need: int,
-                   first_indices) -> tuple[int, ...] | None:
+                   first_indices) -> tuple[tuple[int, ...] | None]:
     """Least `need`-subset of sv, first element restricted to first_indices,
-    with every pairwise difference in coset 0.  Lexicographic by element."""
+    with every pairwise difference in coset 0.  Lexicographic by element.
+    Returned as a 1-tuple, the shape ``ordered_search`` expects."""
     n_sv = len(sv)
     if field.degree == 1:
         p = field.characteristic
@@ -185,16 +186,10 @@ def _subset_search(field: FieldSpec, labels: bytes, sv: tuple[int, ...], need: i
         return None
 
     for i in first_indices:
-        if i > n_sv - need:
-            continue
         found = extend(i + 1, [sv[i]])
         if found is not None:
-            return found
-    return None
-
-
-def _subset_worker(args):
-    return _subset_search(*args)
+            return (found,)
+    return (None,)
 
 
 def find_normalized_clique(partition: CosetPartition, t: int,
@@ -205,7 +200,9 @@ def find_normalized_clique(partition: CosetPartition, t: int,
     element order) or None if the Cayley coloring built from this
     partition contains no monochromatic K_t in any color.  Subsets are
     enumerated in ascending lexicographic order over the sieved residue
-    list, and the result is independent of the worker count.
+    list; several workers search consecutive chunks of first elements
+    (``parallel.ordered_search``) and stop at the first chunk holding a
+    witness, so the result is independent of the worker count.
     """
     if t < 3:
         raise ValueError("clique size t must be >= 3")
@@ -215,19 +212,9 @@ def find_normalized_clique(partition: CosetPartition, t: int,
             "and the normalized search does not apply")
     sv = tuple(sieve(partition))
     need = t - 2
-    n_first = len(sv) - need + 1
-    if n_first <= 0:
-        return None
-
-    if workers <= 1 or n_first < 2 * workers:
-        found = _subset_search(partition.field, partition._labels, sv, need, range(n_first))
-    else:
-        tasks = [(partition.field, partition._labels, sv, need, tuple(range(w, n_first, workers)))
-                 for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for r in pool.map(_subset_worker, tasks) if r is not None]
-        found = min(results) if results else None
-
+    results = ordered_search(_subset_search, (partition.field, partition._labels, sv, need),
+                             range(len(sv) - need + 1), workers)
+    found = results[-1][0]
     if found is None:
         return None
     witness = NormalizedWitness(t, (1,) + found)

@@ -11,15 +11,20 @@ optional symmetry mode roots the search at vertex 0: translating any
 clique by the negation of its least vertex yields a clique through 0 of
 the same color, so existence (and the lexicographically least clique)
 are unaffected.
+
+Several workers search consecutive chunks of roots (see ``parallel``) and
+stop at the first chunk holding a clique, so the clique, and the node
+count of a passing search, do not depend on the worker count; a refuted
+parallel search counts only the nodes of the chunks it consumed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 from .coloring import EdgeColoring, FormatError, coloring_digest
+from .parallel import ordered_search
 
 CERT_HEADER = "ramsey-certificate v1"
 _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
@@ -59,10 +64,6 @@ def _search_roots(rows: list[int], k: int, roots) -> tuple[tuple[int, ...] | Non
     return None, stats[0]
 
 
-def _clique_worker(args):
-    return _search_roots(*args)
-
-
 def _recheck_clique(coloring: EdgeColoring, color: int, clique) -> None:
     # Self-check, always on: never report a clique without re-validating it.
     for i, u in enumerate(clique):
@@ -72,69 +73,33 @@ def _recheck_clique(coloring: EdgeColoring, color: int, clique) -> None:
                     f"reported clique {clique} fails recheck on edge ({u}, {v})")
 
 
-def _resolve_symmetry(coloring: EdgeColoring, symmetry: bool | None) -> bool:
-    if symmetry is None:
-        return coloring.is_circulant
-    if symmetry and not coloring.is_circulant:
-        raise ValueError("symmetry mode is only valid for circulant colorings")
-    return symmetry
-
-
 def _find(coloring: EdgeColoring, color: int, k: int, symmetry: bool | None,
-          workers: int, deterministic: bool) -> tuple[tuple[int, ...] | None, int]:
+          workers: int) -> tuple[tuple[int, ...] | None, int]:
     coloring._check_color(color)
     if not 2 <= k <= coloring.n:
         raise ValueError(f"clique size {k} out of range 2..{coloring.n}")
-    rooted = _resolve_symmetry(coloring, symmetry)
+    rooted = coloring.is_circulant if symmetry is None else symmetry
+    if rooted and not coloring.is_circulant:
+        raise ValueError("symmetry mode is only valid for circulant colorings")
     rows = coloring.neighbor_rows(color)
     roots = (0,) if rooted else range(coloring.n)
-
-    if workers <= 1 or len(roots) < 2 * workers:
-        clique, nodes = _search_roots(rows, k, roots)
-    else:
-        tasks = [(rows, k, tuple(roots[w::workers])) for w in range(workers)]
-        nodes = 0
-        if deterministic:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                found = []
-                for clique_w, nodes_w in pool.map(_clique_worker, tasks):
-                    nodes += nodes_w
-                    if clique_w is not None:
-                        found.append(clique_w)
-            clique = min(found) if found else None
-        else:
-            # Existence-first: take any clique as soon as one arrives.
-            clique = None
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                pending = {pool.submit(_clique_worker, t) for t in tasks}
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        clique_w, nodes_w = fut.result()
-                        nodes += nodes_w
-                        if clique_w is not None and clique is None:
-                            clique = clique_w
-                    if clique is not None:
-                        for fut in pending:
-                            fut.cancel()
-                        break
-
+    results = ordered_search(_search_roots, (rows, k), roots, workers)
+    clique = results[-1][0]
+    nodes = sum(nodes_chunk for _, nodes_chunk in results)
     if clique is not None:
         _recheck_clique(coloring, color, clique)
     return clique, nodes
 
 
 def find_mono_clique(coloring: EdgeColoring, color: int, k: int, *,
-                     symmetry: bool | None = None, workers: int = 1,
-                     deterministic: bool = True) -> tuple[int, ...] | None:
+                     symmetry: bool | None = None, workers: int = 1) -> tuple[int, ...] | None:
     """Exhaustive search for a k-clique in one color class.
 
-    Returns None iff no such clique exists.  In deterministic mode the
-    returned clique is the lexicographically least, independent of the
-    worker count; otherwise any valid clique may be returned.  symmetry
-    None means "root at 0 when the coloring is circulant".
+    Returns None iff no such clique exists, else the lexicographically
+    least one, independent of the worker count.  symmetry None means
+    "root at 0 when the coloring is circulant".
     """
-    clique, _ = _find(coloring, color, k, symmetry, workers, deterministic)
+    clique, _ = _find(coloring, color, k, symmetry, workers)
     return clique
 
 
@@ -145,7 +110,6 @@ class VerificationReport:
     targets: tuple[int, ...]
     cliques: tuple[tuple[int, ...] | None, ...]
     nodes: int
-    deterministic: bool = True
 
     @property
     def passed(self) -> bool:
@@ -160,7 +124,7 @@ class VerificationReport:
 
 
 def verify_witness(coloring: EdgeColoring, targets, *, symmetry: bool | None = None,
-                   workers: int = 1, deterministic: bool = True) -> VerificationReport:
+                   workers: int = 1) -> VerificationReport:
     """Check that color i contains no K_{targets[i]}, for every color."""
     targets = tuple(int(k) for k in targets)
     if len(targets) != coloring.num_colors:
@@ -174,11 +138,10 @@ def verify_witness(coloring: EdgeColoring, targets, *, symmetry: bool | None = N
         if k > coloring.n:
             cliques.append(None)  # K_k cannot fit at all
             continue
-        clique, n_nodes = _find(coloring, color, k, symmetry, workers, deterministic)
+        clique, n_nodes = _find(coloring, color, k, symmetry, workers)
         nodes += n_nodes
         cliques.append(clique)
-    return VerificationReport(targets, tuple(cliques), nodes,
-                              deterministic=(workers <= 1 or deterministic))
+    return VerificationReport(targets, tuple(cliques), nodes)
 
 
 @dataclass(frozen=True)
@@ -218,10 +181,9 @@ class RamseyCertificate:
 
 
 def certify(coloring: EdgeColoring, targets, out=None, *, symmetry: bool | None = None,
-            workers: int = 1, deterministic: bool = True) -> RamseyCertificate:
+            workers: int = 1) -> RamseyCertificate:
     """Verify a coloring and (optionally) write the certificate file."""
-    report = verify_witness(coloring, targets, symmetry=symmetry, workers=workers,
-                            deterministic=deterministic)
+    report = verify_witness(coloring, targets, symmetry=symmetry, workers=workers)
     if report.passed:
         cert = RamseyCertificate(report.targets, coloring.n, True, coloring_digest(coloring))
     else:

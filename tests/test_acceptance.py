@@ -176,8 +176,7 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, capsys):
     for coloring, k in clique_cases:
         for color in range(1, coloring.num_colors + 1):
             results = {
-                w: rk.find_mono_clique(coloring, color, k, workers=w,
-                                       deterministic=True, symmetry=False)
+                w: rk.find_mono_clique(coloring, color, k, workers=w, symmetry=False)
                 for w in (1, 2, 8)}
             assert results[1] == results[2] == results[8]
             witness_seen = witness_seen or results[1] is not None

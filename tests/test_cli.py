@@ -1,5 +1,11 @@
 """Command line interface: output formats and exit codes."""
 
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import pytest
 
 from ramseykit import load_coloring, read_certificate
@@ -237,3 +243,31 @@ def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3,3")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: reported clique")
+
+
+def test_closed_stdout_exits_3():
+    # `ramseykit primes ... | head -1`: about 140 KB of output, far more than
+    # the pipe holds, so writes go on after the reader has gone
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramseykit.cli", "primes", "--mod", "3", "--min", "2",
+         "--max", "500000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.readline() == b"4\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (3, b"")
+
+
+def test_crashed_worker_exits_3(capsys, monkeypatch):
+    import ramseykit.cli as cli
+
+    def crashed_search(*args, **kwargs):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(cli, "find_normalized_clique", crashed_search)
+    code, out, err = run(capsys, "search", "--mod", "3", "-t", "5",
+                         "--min", "241", "--max", "241")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: a worker process died")

@@ -76,15 +76,15 @@ def test_compose_gf16_certifies_r3333():
 
 
 def test_block_constants():
-    a, b, c = CHUNG_PLAN.diagonal
-    assert (a.diag, a.color1, a.color2) == (0, 2, 3)
-    assert (b.diag, b.color1, b.color2) == (0, 3, 1)
-    assert (c.diag, c.color1, c.color2) == (0, 1, 2)
-    cross = dict(CHUNG_PLAN.cross)
-    assert (cross[(2, 1)].diag, cross[(2, 1)].color1, cross[(2, 1)].color2) == (3, 2, 1)
-    assert (cross[(3, 1)].diag, cross[(3, 1)].color1, cross[(3, 1)].color2) == (2, 1, 3)
-    assert (cross[(3, 2)].diag, cross[(3, 2)].color1, cross[(3, 2)].color2) == (1, 3, 2)
-    for bm in list(CHUNG_PLAN.diagonal) + list(cross.values()):
+    plan = CHUNG_PLAN
+    assert (plan[1, 1].diag, plan[1, 1].color1, plan[1, 1].color2) == (0, 2, 3)
+    assert (plan[2, 2].diag, plan[2, 2].color1, plan[2, 2].color2) == (0, 3, 1)
+    assert (plan[3, 3].diag, plan[3, 3].color1, plan[3, 3].color2) == (0, 1, 2)
+    assert (plan[2, 1].diag, plan[2, 1].color1, plan[2, 1].color2) == (3, 2, 1)
+    assert (plan[3, 1].diag, plan[3, 1].color1, plan[3, 1].color2) == (2, 1, 3)
+    assert (plan[3, 2].diag, plan[3, 2].color1, plan[3, 2].color2) == (1, 3, 2)
+    assert len(plan) == 6
+    for bm in plan.values():
         assert bm.apply(3) == 4 and bm.apply(7) == 8  # uniform +1 shift
 
 

@@ -3,10 +3,12 @@
 import pytest
 
 from ramseykit import (
+    CompositionInput,
     ExplicitColoring,
     FormatError,
     build_cayley_coloring,
     certify,
+    chung_compose,
     coloring_digest,
     find_mono_clique,
     make_field,
@@ -122,20 +124,17 @@ def test_worker_determinism(workers):
     assert find_mono_clique(col, 1, 5, workers=workers, symmetry=False) is None
     col241 = cubic(241)
     assert find_mono_clique(col241, 1, 5, workers=workers) is None
-
-
-def test_nondeterministic_mode_existence_agrees():
-    col = paley(13)
-    got = find_mono_clique(col, 1, 3, workers=2, deterministic=False, symmetry=False)
-    assert got is not None
-    assert brute_mono_clique(col, 1, 3) is not None
+    # a passing search visits the same nodes however its roots are chunked
+    gf16 = build_cayley_coloring(power_cosets(make_field(2, 4), 3))
+    h50 = chung_compose(CompositionInput(gf16, ExplicitColoring(2, 1, b"\x01"), (3,)))
+    assert verify_witness(h50, (3, 3, 3, 3), workers=workers).nodes == \
+        verify_witness(h50, (3, 3, 3, 3)).nodes
 
 
 def test_verify_witness_pentagon():
     report = verify_witness(pentagon(), (3, 3))
     assert report.passed
     assert report.cliques == (None, None)
-    assert report.deterministic
     assert "no K_3" in report.summary()
 
 
