@@ -14,7 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from .coloring import FormatError, build_cayley_coloring, load_coloring, save_coloring
 from .construct import CompositionError, CompositionInput, chung_compose
-from .field import admissible_orders, make_field
+from .field import _iter_orders, make_field
 from .residues import find_normalized_clique, negation_closed, power_cosets
 from .verify import certify
 
@@ -52,7 +52,7 @@ def _threads(args) -> int:
 
 
 def _cmd_primes(args) -> int:
-    for spec in admissible_orders(args.mod, args.lo, args.hi, prime_only=args.prime_only):
+    for spec in _iter_orders(args.mod, args.lo, args.hi, prime_only=args.prime_only):
         print(spec.order)
     return EXIT_PASS
 
@@ -64,8 +64,7 @@ def _cmd_search(args) -> int:
         if args.lo is None or args.hi is None:
             print("error: search needs --min and --max (or --galois p,k)", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-        specs = admissible_orders(args.mod, args.lo, args.hi, prime_only=True)
-    workers = _threads(args)
+        specs = _iter_orders(args.mod, args.lo, args.hi, prime_only=True)
     targets = ",".join([str(args.t)] * args.mod)
     for spec in specs:
         partition = power_cosets(spec, args.mod)
@@ -73,7 +72,7 @@ def _cmd_search(args) -> int:
             print(f"{spec.order}: skipped (color classes not closed under negation)",
                   file=sys.stderr)
             continue
-        witness = find_normalized_clique(partition, args.t, workers=workers)
+        witness = find_normalized_clique(partition, args.t)
         if witness is None:
             print(f"{spec.order}: BOUND R({targets})>={spec.order + 1}")
         else:
@@ -113,7 +112,8 @@ def _cmd_compose(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_positive_int, default=None, metavar="N",
-                        help="worker processes (default: all cores)")
+                        help="worker processes for verify and compose validation "
+                             "(default: all cores); search runs in one process")
     common.add_argument("--deterministic", action="store_true",
                         help="accepted and ignored: witnesses are always the "
                              "lexicographically least")

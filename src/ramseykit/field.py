@@ -293,19 +293,23 @@ def admissible_orders(m: int, lo: int, hi: int, prime_only: bool = False) -> lis
     included as well (with the canonical modulus).  Orders for which no
     field exists are skipped silently.
     """
+    return list(_iter_orders(m, lo, hi, prime_only))
+
+
+def _iter_orders(m: int, lo: int, hi: int, prime_only: bool = False):
+    """``admissible_orders`` one field at a time, so a caller can print or
+    search each order as soon as it is found."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    out = []
     for n in range(max(lo, 2), hi + 1):
         if (n - 1) % m:
             continue
         if is_prime(n):
-            out.append(FieldSpec(n))
+            yield FieldSpec(n)
         elif not prime_only:
             pk = _prime_power(n)
             if pk is not None:
-                out.append(make_field(*pk))
-    return out
+                yield make_field(*pk)
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -1,8 +1,14 @@
-"""Ordered-chunk parallel search, shared by the clique and residue searches.
+"""The bitset clique kernel and the ordered-chunk parallel search.
 
-``search(*args, items)`` scans ``items`` in order and returns a tuple whose
-``[0]`` is its least hit or None.  Over consecutive chunks, the first chunk
-with a hit holds the least hit overall, whatever the worker count.
+``rows[v]`` is vertex v's neighbour set as an int bitmask; ``_search_roots``
+finds the least k-clique whose minimum vertex is one of the given roots.
+``verify`` runs it on a coloring's neighbour rows, ``residues`` on the
+difference rows of the sieved residue list.
+
+``ordered_search(search, args, items, workers)`` runs ``search(*args, items)``
+over consecutive chunks of ``items``; each call returns a tuple whose ``[0]``
+is its least hit or None.  The first chunk with a hit holds the least hit
+overall, whatever the worker count.  Only ``verify`` uses it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,40 @@ from concurrent.futures import ProcessPoolExecutor
 CHUNKS_PER_WORKER = 8
 
 _job = None  # (search, args) in a worker process, set by _init_worker
+
+
+def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
+    stats[0] += 1
+    while cand:
+        if cand.bit_count() < need:
+            return None
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if need == 1:
+            prefix.append(v)
+            return prefix
+        nxt = cand & rows[v]
+        if nxt.bit_count() >= need - 1:
+            prefix.append(v)
+            if _dfs(rows, nxt, need - 1, prefix, stats) is not None:
+                return prefix
+            prefix.pop()
+    return None
+
+
+def _search_roots(rows, k: int, roots) -> tuple[tuple[int, ...] | None, int]:
+    """Least k-clique (k >= 2) whose minimum vertex is in roots (ascending),
+    plus the number of search nodes visited."""
+    stats = [0]
+    for r in roots:
+        cand = (rows[r] >> (r + 1)) << (r + 1)
+        if cand.bit_count() < k - 1:
+            continue
+        found = _dfs(rows, cand, k - 1, [r], stats)
+        if found is not None:
+            return tuple(found), stats[0]
+    return None, stats[0]
 
 
 def _init_worker(search, args) -> None:

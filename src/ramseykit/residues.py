@@ -9,7 +9,10 @@ residue subgroup.  (Translate the clique so one vertex is 0, then scale
 by the inverse of another; both operations map the difference set of a
 clique into the coset containing 1.)  This module searches for such
 witnesses directly, which is dramatically cheaper than clique search on
-the full coloring.
+the full coloring: one process runs the bitset clique kernel of
+``parallel`` on the difference rows of the sieved residues, built on
+first use.  Coset labels come from one walk over the powers of the least
+generator g: g^i lies in coset i mod m.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldSpec, multiplicative_generator
-from .parallel import ordered_search
+from .parallel import _search_roots
 
 _NO_LABEL = 255
+# Coset label -> "1" for the residues (label 0), "0" for the rest
+_RESIDUE_BIT = bytes([ord("1")] + [ord("0")] * 255)
 
 
 class CosetPartition:
@@ -76,28 +81,21 @@ def power_cosets(field: FieldSpec, m: int) -> CosetPartition:
     if (n - 1) % m:
         raise ValueError(f"{m} does not divide {n - 1} = |{field}*|")
 
-    if field.degree == 1:
-        residues = sorted({pow(x, m, n) for x in range(1, n)})
-    else:
-        residues = sorted({field.pow(x, m) for x in range(1, n)})
-    if len(residues) != (n - 1) // m:
-        raise AssertionError("residue subgroup has unexpected size")
-
+    # g^i lies in coset i mod m; one walk of n - 1 steps labels every element
     labels = bytearray([_NO_LABEL]) * n
-    for x in residues:
-        labels[x] = 0
-    cosets = [tuple(residues)]
     g = multiplicative_generator(field)
-    shift = 1
-    for i in range(1, m):
-        shift = field.mul(shift, g)
-        coset = sorted(field.mul(shift, h) for h in residues)
-        for y in coset:
-            if labels[y] != _NO_LABEL:
-                raise AssertionError("coset translates overlap; generator is wrong")
-            labels[y] = i
-        cosets.append(tuple(coset))
-    return CosetPartition(field, m, tuple(cosets), bytes(labels))
+    x = 1
+    for i in range(n - 1):
+        if labels[x] != _NO_LABEL:
+            raise AssertionError(f"{g} revisits {x} after {i} steps; generator is wrong")
+        labels[x] = i % m
+        x = field.mul(x, g)
+    if x != 1:
+        raise AssertionError(f"{g}^{n - 1} = {x} != 1; generator is wrong")
+    cosets = [[] for _ in range(m)]
+    for x in range(1, n):
+        cosets[labels[x]].append(x)
+    return CosetPartition(field, m, tuple(map(tuple, cosets)), bytes(labels))
 
 
 def negation_closed(partition: CosetPartition) -> bool:
@@ -148,61 +146,35 @@ class NormalizedWitness:
         return (0,) + tuple(sorted(self.elements))
 
 
-def _subset_search(field: FieldSpec, labels: bytes, sv: tuple[int, ...], need: int,
-                   first_indices) -> tuple[tuple[int, ...] | None]:
-    """Least `need`-subset of sv, first element restricted to first_indices,
-    with every pairwise difference in coset 0.  Lexicographic by element.
-    Returned as a 1-tuple, the shape ``ordered_search`` expects."""
-    n_sv = len(sv)
-    if field.degree == 1:
-        p = field.characteristic
+class _DiffRows(dict):
+    """Row i: bitmask of the indices j > i with sv[j] - sv[i] a residue,
+    built on first use (a witness often turns up after a handful of rows)."""
 
-        def diff_ok(x, chosen):
-            for y in chosen:
-                if labels[(x - y) % p]:
-                    return False
-            return True
-    else:
-        fsub = field.sub
+    def __init__(self, field: FieldSpec, labels: bytes, sv: tuple[int, ...]):
+        super().__init__()
+        self.field, self.labels, self.sv = field, labels, sv
 
-        def diff_ok(x, chosen):
-            for y in chosen:
-                if labels[fsub(x, y)]:
-                    return False
-            return True
-
-    def extend(start: int, chosen: list[int]):
-        rem = need - len(chosen)
-        if rem == 0:
-            return tuple(chosen)
-        for i in range(start, n_sv - rem + 1):
-            x = sv[i]
-            if diff_ok(x, chosen):
-                chosen.append(x)
-                found = extend(i + 1, chosen)
-                if found is not None:
-                    return found
-                chosen.pop()
-        return None
-
-    for i in first_indices:
-        found = extend(i + 1, [sv[i]])
-        if found is not None:
-            return (found,)
-    return (None,)
+    def __missing__(self, i: int) -> int:
+        f, x = self.field, self.sv[i]
+        if f.degree == 1:
+            minus = x.__rsub__  # sv ascends, so y - x needs no reduction
+        else:
+            def minus(y):
+                return f.sub(y, x)
+        diffs = bytes(map(self.labels.__getitem__, map(minus, self.sv[i + 1:])))
+        row = self[i] = int(b"0" + diffs[::-1].translate(_RESIDUE_BIT), 2) << (i + 1)
+        return row
 
 
-def find_normalized_clique(partition: CosetPartition, t: int,
-                           workers: int = 1) -> NormalizedWitness | None:
+def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitness | None:
     """Search for a normalized monochromatic-K_t witness.
 
     Returns the lexicographically least witness (under the canonical
     element order) or None if the Cayley coloring built from this
-    partition contains no monochromatic K_t in any color.  Subsets are
-    enumerated in ascending lexicographic order over the sieved residue
-    list; several workers search consecutive chunks of first elements
-    (``parallel.ordered_search``) and stop at the first chunk holding a
-    witness, so the result is independent of the worker count.
+    partition contains no monochromatic K_t in any color.  The t - 2
+    elements besides 1 form a clique of the difference rows of the sieved
+    residue list (``_DiffRows``); the ascending bitset search of
+    ``parallel._search_roots`` over that ascending list returns the least.
     """
     if t < 3:
         raise ValueError("clique size t must be >= 3")
@@ -212,12 +184,14 @@ def find_normalized_clique(partition: CosetPartition, t: int,
             "and the normalized search does not apply")
     sv = tuple(sieve(partition))
     need = t - 2
-    results = ordered_search(_subset_search, (partition.field, partition._labels, sv, need),
-                             range(len(sv) - need + 1), workers)
-    found = results[-1][0]
+    if need == 1:  # the kernel needs cliques of two or more
+        found = (0,) if sv else None
+    else:
+        rows = _DiffRows(partition.field, partition._labels, sv)
+        found, _ = _search_roots(rows, need, range(len(sv) - need + 1))
     if found is None:
         return None
-    witness = NormalizedWitness(t, (1,) + found)
+    witness = NormalizedWitness(t, (1,) + tuple(sv[i] for i in found))
     _check_witness(partition, witness)
     return witness
 

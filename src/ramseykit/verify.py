@@ -4,8 +4,8 @@ This is the brute-force referee for the whole package: it works on any
 edge coloring, knows nothing about residues or block composition, and
 every clique it reports is re-checked pairwise before being returned.
 
-Candidate sets are int bitmasks (bit v = vertex v), searched in static
-ascending vertex order with the usual branch-and-bound prune on
+Candidate sets are int bitmasks (bit v = vertex v), searched by the
+kernel in ``parallel`` in static ascending vertex order with the usual branch-and-bound prune on
 |candidates| < vertices still needed.  For circulant colorings an
 optional symmetry mode roots the search at vertex 0: translating any
 clique by the negation of its least vertex yields a clique through 0 of
@@ -24,44 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .coloring import EdgeColoring, FormatError, coloring_digest
-from .parallel import ordered_search
+from .parallel import _search_roots, ordered_search
 
 CERT_HEADER = "ramsey-certificate v1"
 _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
-
-
-def _dfs(rows: list[int], cand: int, need: int, prefix: list[int], stats: list[int]):
-    stats[0] += 1
-    while cand:
-        if cand.bit_count() < need:
-            return None
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        if need == 1:
-            prefix.append(v)
-            return prefix
-        nxt = cand & rows[v]
-        if nxt.bit_count() >= need - 1:
-            prefix.append(v)
-            if _dfs(rows, nxt, need - 1, prefix, stats) is not None:
-                return prefix
-            prefix.pop()
-    return None
-
-
-def _search_roots(rows: list[int], k: int, roots) -> tuple[tuple[int, ...] | None, int]:
-    """Least k-clique whose minimum vertex is in roots (ascending), plus
-    the number of search nodes visited."""
-    stats = [0]
-    for r in roots:
-        cand = (rows[r] >> (r + 1)) << (r + 1)
-        if cand.bit_count() < k - 1:
-            continue
-        found = _dfs(rows, cand, k - 1, [r], stats)
-        if found is not None:
-            return tuple(found), stats[0]
-    return None, stats[0]
 
 
 def _recheck_clique(coloring: EdgeColoring, color: int, clique) -> None:

@@ -73,3 +73,48 @@ def composed_color(t, g, u, v):
         return diag
     c = t.edge_color(i, j)
     return {1: image1, 2: image2}.get(c, c + 1)
+
+
+def translate_cosets(field, m):
+    """Cosets and labels of the m-th power residues, as the package built them
+    before the generator walk: the residues are the distinct x^m, and coset i
+    is that subgroup translated by g^i, g the least generator."""
+    from ramseykit.field import multiplicative_generator
+
+    n = field.order
+    residues = sorted({field.pow(x, m) for x in range(1, n)})
+    labels = bytearray([255]) * n
+    cosets = []
+    g = multiplicative_generator(field)
+    shift = 1
+    for i in range(m):
+        coset = sorted(field.mul(shift, h) for h in residues)
+        for y in coset:
+            assert labels[y] == 255, "coset translates overlap"
+            labels[y] = i
+        cosets.append(tuple(coset))
+        shift = field.mul(shift, g)
+    return tuple(cosets), bytes(labels)
+
+
+def subset_witness(partition, t):
+    """Elements of the least normalized K_t witness, or None: the least
+    (t-2)-subset of the sieved residues whose pairwise differences are all
+    residues, by a plain depth-first search over lists."""
+    from ramseykit.residues import sieve
+
+    field, sv, need = partition.field, sieve(partition), t - 2
+
+    def extend(start, chosen):
+        if len(chosen) == need:
+            return chosen
+        for i in range(start, len(sv)):
+            x = sv[i]
+            if all(partition.is_residue(field.sub(x, y)) for y in chosen):
+                found = extend(i + 1, chosen + [x])
+                if found is not None:
+                    return found
+        return None
+
+    found = extend(0, [])
+    return None if found is None else (1,) + tuple(found)

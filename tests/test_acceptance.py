@@ -10,8 +10,8 @@ with its runtime (run with ``pytest tests/test_acceptance.py -v -s``):
 5. The bound arithmetic 3M + R - 3 on six published input bounds.
 6. Normalized-search existence equals exhaustive clique-search existence
    over all admissible primes up to 100.
-7. Byte-exact save/load round trips and witness determinism across
-   1, 2, and 8 workers.
+7. Byte-exact save/load round trips, clique determinism across 1, 2, and
+   8 workers, and normalized witnesses equal to a list-based search.
 
 Bounds that rest on witnesses published elsewhere (such as R(3,3,4) >= 30)
 are deliberately checked at formula level only (item 5); discovering those
@@ -23,7 +23,7 @@ import time
 import ramseykit as rk
 from ramseykit.cli import main as cli_main
 
-from helpers import brute_mono_clique
+from helpers import brute_mono_clique, subset_witness
 from known_colorings import COLOR_CLASSES_241, COLOR_CLASSES_691
 
 
@@ -182,12 +182,13 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, capsys):
             witness_seen = witness_seen or results[1] is not None
     assert witness_seen  # the suite must compare actual witnesses too
 
+    # the normalized search runs in one process; it must return the least
+    # witness of the list-based subset search
     normalized_cases = [(97, 3, 5), (73, 3, 4), (13, 2, 3), (241, 3, 5), (691, 3, 6)]
     for p, m, t in normalized_cases:
         partition = rk.power_cosets(rk.make_field(p), m)
-        results = {w: rk.find_normalized_clique(partition, t, workers=w)
-                   for w in (1, 2, 8)}
-        assert results[1] == results[2] == results[8]
+        witness = rk.find_normalized_clique(partition, t)
+        assert (witness and witness.elements) == subset_witness(partition, t), (p, m, t)
 
     with capsys.disabled():
         _report("7 (round trips and worker determinism)",

@@ -260,14 +260,33 @@ def test_closed_stdout_exits_3():
     assert (proc.returncode, err) == (3, b"")
 
 
-def test_crashed_worker_exits_3(capsys, monkeypatch):
+def test_orders_stream_to_a_closed_stdout():
+    # the orders are printed as they are found: a range up to 10^12 stops at
+    # the first write after the reader has gone, not after the whole range
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramseykit.cli", "primes", "--mod", "3", "--min", "2",
+         "--max", "1000000000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    try:
+        assert proc.stdout.readline() == b"4\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (3, b"")
+
+
+def test_crashed_worker_exits_3(tmp_path, capsys, monkeypatch):
     import ramseykit.cli as cli
 
-    def crashed_search(*args, **kwargs):
+    def crashed_certify(*args, **kwargs):
         raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
-    monkeypatch.setattr(cli, "find_normalized_clique", crashed_search)
-    code, out, err = run(capsys, "search", "--mod", "3", "-t", "5",
-                         "--min", "241", "--max", "241")
+    # verify is the command that starts worker processes; search runs in one
+    path = _pentagon_file(tmp_path, capsys)
+    monkeypatch.setattr(cli, "certify", crashed_certify)
+    code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3,3")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: a worker process died")

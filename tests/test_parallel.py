@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from ramseykit import make_field, power_cosets
 from ramseykit.parallel import CHUNKS_PER_WORKER, ordered_search
 
-from helpers import least_member
+from helpers import least_member, subset_witness
 
 ITEMS = range(100)
 
@@ -50,11 +51,10 @@ import json, multiprocessing
 multiprocessing.set_start_method("spawn")
 import ramseykit as rk
 paley = rk.build_cayley_coloring(rk.power_cosets(rk.make_field(13), 2)).to_explicit()
-part = rk.power_cosets(rk.make_field(97), 3)
-witnesses = [rk.find_normalized_clique(part, 5, workers=w) for w in (1, 2)]
 out = {"clique": [[rk.find_mono_clique(paley, 1, k, workers=w) for k in (3, 5)]
                   for w in (1, 2, 3)],
-       "normalized": [w.elements if w else None for w in witnesses]}
+       "normalized": rk.find_normalized_clique(rk.power_cosets(rk.make_field(97), 3),
+                                               5).elements}
 print(json.dumps(out))
 """
 
@@ -68,4 +68,6 @@ def test_spawned_workers_agree():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["clique"] == [[[0, 1, 4], None]] * 3
-    assert out["normalized"] == [[1, 19, 20, 47]] * 2
+    # the normalized search runs in one process: check it against the oracle
+    part = power_cosets(make_field(97), 3)
+    assert tuple(out["normalized"]) == subset_witness(part, 5) == (1, 19, 20, 47)

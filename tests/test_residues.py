@@ -2,7 +2,7 @@
 
 import pytest
 
-from ramseykit import build_cayley_coloring, find_mono_clique, make_field
+from ramseykit import admissible_orders, build_cayley_coloring, find_mono_clique, make_field
 from ramseykit.residues import (
     NormalizedWitness,
     find_normalized_clique,
@@ -11,7 +11,7 @@ from ramseykit.residues import (
     sieve,
 )
 
-from helpers import brute_has_mono_clique
+from helpers import brute_has_mono_clique, subset_witness, translate_cosets
 from known_colorings import COLOR_CLASSES_241
 
 
@@ -157,9 +157,55 @@ def test_witness_validity_and_least():
 
 @pytest.mark.parametrize("p,m,t", [(13, 2, 3), (61, 3, 4), (97, 3, 5), (37, 3, 3)])
 def test_witness_worker_determinism(p, m, t):
+    # The search no longer takes a worker count; the witness must be the one
+    # the list-based subset search returns.
     part = power_cosets(make_field(p), m)
-    results = [find_normalized_clique(part, t, workers=w) for w in (1, 2, 8)]
-    assert results[0] == results[1] == results[2]
+    w = find_normalized_clique(part, t)
+    assert (w and w.elements) == subset_witness(part, t)
+
+
+def _oracle_cases():
+    for m in (2, 3, 4):
+        for spec in admissible_orders(m, 2, 399, prime_only=True):
+            yield spec, m
+    for p, k in [(2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4),
+                 (2, 8), (2, 10)]:
+        spec = make_field(p, k)
+        yield from ((spec, m) for m in (2, 3, 4) if (spec.order - 1) % m == 0)
+
+
+def test_walk_and_clique_search_match_oracles():
+    # every admissible prime below 400 and ten Galois fields up to GF(2^10),
+    # m in {2, 3, 4}, t in 3..6: cosets, labels and least witnesses agree
+    # with the translate-and-sort cosets and the list-based subset search
+    searched = 0
+    for spec, m in _oracle_cases():
+        part = power_cosets(spec, m)
+        assert (part.cosets, part._labels) == translate_cosets(spec, m), (spec, m)
+        if not negation_closed(part):
+            continue
+        for t in range(3, 7):
+            w = find_normalized_clique(part, t)
+            assert (w and w.elements) == subset_witness(part, t), (spec, m, t)
+            searched += 1
+    assert searched == 416
+
+
+def test_walk_self_check(monkeypatch, capsys):
+    # g^3 has order 5 in GF(16)*: the walk revisits 1 and must refuse
+    from ramseykit import residues
+    from ramseykit.cli import main
+
+    real = residues.multiplicative_generator
+    gf16 = make_field(2, 4)
+    monkeypatch.setattr(residues, "multiplicative_generator",
+                        lambda spec: spec.pow(real(spec), 3))
+    with pytest.raises(AssertionError, match="generator is wrong"):
+        power_cosets(gf16, 3)
+    assert main(["search", "--galois", "2,4", "--mod", "3", "-t", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error:")
 
 
 @pytest.mark.parametrize("p,m", [(13, 3), (31, 3), (37, 3), (13, 2), (17, 2)])
