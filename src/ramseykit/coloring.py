@@ -59,7 +59,7 @@ class EdgeColoring:
 
     def neighbor_rows(self, color: int) -> list[int]:
         """Per-vertex adjacency bitmasks of one color class (bit v of row u
-        is set iff {u, v} has that color)."""
+        is set iff {u, v} has that color), indexed by vertex."""
         raise NotImplementedError
 
     def _check_pair(self, u: int, v: int) -> None:
@@ -111,23 +111,9 @@ class CirculantColoring(EdgeColoring):
         self._check_pair(u, v)
         return self._diff_color[self.field.sub(v, u)]
 
-    def neighbor_rows(self, color: int) -> list[int]:
+    def neighbor_rows(self, color: int) -> "_CirculantRows":
         self._check_color(color)
-        n = self.n
-        conn = self.connection_sets[color - 1]
-        if self.field.degree == 1:
-            base = 0
-            for d in conn:
-                base |= 1 << d
-            mask = (1 << n) - 1
-            return [((base << u) | (base >> (n - u))) & mask if u else base
-                    for u in range(n)]
-        add = self.field.add
-        rows = [0] * n
-        for d in conn:
-            for u in range(n):
-                rows[u] |= 1 << add(u, d)
-        return rows
+        return _CirculantRows(self.field, self.connection_sets[color - 1])
 
     def to_explicit(self) -> "ExplicitColoring":
         n = self.n
@@ -139,6 +125,26 @@ class CirculantColoring(EdgeColoring):
             sub = self.field.sub
             tri = bytes(dc[sub(v, u)] for u in range(n - 1) for v in range(u + 1, n))
         return ExplicitColoring(n, self.num_colors, tri)
+
+
+class _CirculantRows(dict):
+    """Row u of one color class of a circulant coloring: the bitmask of u + d
+    over the color's connection set, built on first use (a symmetric search
+    reads a few of the n rows; see ``verify``)."""
+
+    def __init__(self, field: FieldSpec, conn: tuple[int, ...]):
+        super().__init__()
+        self.field, self.conn = field, conn
+
+    def __missing__(self, u: int) -> int:
+        f = self.field
+        if f.degree == 1 and u:  # row u is row 0 rotated left by u
+            n, base = f.order, self[0]
+            row = ((base << u) | (base >> (n - u))) & ((1 << n) - 1)
+        else:
+            row = sum(1 << f.add(u, d) for d in self.conn)
+        self[u] = row
+        return row
 
 
 class ExplicitColoring(EdgeColoring):

@@ -337,3 +337,23 @@ def multiplicative_generator(spec: FieldSpec) -> int:
         if all(spec.pow(g, n1 // q) != 1 for q in factors):
             return g
     raise AssertionError("unreachable: finite field multiplicative groups are cyclic")
+
+
+def generator_powers(spec: FieldSpec, g: int) -> list[int]:
+    """g^0, g^1, ..., g^(N-2) for the field of order N, by one walk of N - 1
+    multiplications.  The walk is checked, not trusted: it must come back to
+    1 after exactly N - 1 steps without repeating an element, so g generates
+    the multiplicative group; otherwise AssertionError."""
+    n = spec.order
+    seen = bytearray(n)
+    powers = []
+    x = 1
+    for i in range(n - 1):
+        if seen[x]:
+            raise AssertionError(f"{g} revisits {x} after {i} steps; generator is wrong")
+        seen[x] = 1
+        powers.append(x)
+        x = spec.mul(x, g)
+    if x != 1:
+        raise AssertionError(f"{g}^{n - 1} = {x} != 1; generator is wrong")
+    return powers

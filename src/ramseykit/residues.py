@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import FieldSpec, multiplicative_generator
+from .field import FieldSpec, generator_powers, multiplicative_generator
 from .parallel import _search_roots
 
 _NO_LABEL = 255
@@ -83,15 +83,8 @@ def power_cosets(field: FieldSpec, m: int) -> CosetPartition:
 
     # g^i lies in coset i mod m; one walk of n - 1 steps labels every element
     labels = bytearray([_NO_LABEL]) * n
-    g = multiplicative_generator(field)
-    x = 1
-    for i in range(n - 1):
-        if labels[x] != _NO_LABEL:
-            raise AssertionError(f"{g} revisits {x} after {i} steps; generator is wrong")
+    for i, x in enumerate(generator_powers(field, multiplicative_generator(field))):
         labels[x] = i % m
-        x = field.mul(x, g)
-    if x != 1:
-        raise AssertionError(f"{g}^{n - 1} = {x} != 1; generator is wrong")
     cosets = [[] for _ in range(m)]
     for x in range(1, n):
         cosets[labels[x]].append(x)

@@ -6,6 +6,7 @@ from ramseykit.field import (
     FieldSpec,
     admissible_orders,
     canonical_modulus,
+    generator_powers,
     is_prime,
     make_field,
     multiplicative_generator,
@@ -138,6 +139,22 @@ def test_multiplicative_group_cyclic_all_orders_up_to_256():
     for spec in _all_fields_up_to(256):
         g = multiplicative_generator(spec)
         assert multiplicative_order(spec, g) == spec.order - 1
+
+
+def test_generator_powers():
+    assert generator_powers(make_field(13), 2) == [1, 2, 4, 8, 3, 6, 12, 11, 9, 5, 10, 7]
+    gf81 = make_field(3, 4)
+    g = multiplicative_generator(gf81)
+    powers = generator_powers(gf81, g)
+    assert powers == [gf81.pow(g, i) for i in range(80)]
+
+
+@pytest.mark.parametrize("p,k,g", [(13, 1, 3), (2, 4, 8), (3, 1, 0), (2, 1, 0), (5, 1, 1)])
+def test_generator_powers_refuses_a_non_generator(p, k, g):
+    # 3 has order 3 mod 13 and 8 order 5 in GF(16)* (revisits); 0 in Z_3 and
+    # Z_2 repeats nothing in n - 1 steps but does not come back to 1
+    with pytest.raises(AssertionError, match="generator is wrong"):
+        generator_powers(make_field(p, k), g)
 
 
 @pytest.mark.parametrize("spec", [make_field(61), make_field(2, 6), make_field(3, 3),

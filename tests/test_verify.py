@@ -1,21 +1,31 @@
 """Exhaustive clique search, reports, and certificates."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseykit import (
+    CirculantColoring,
     CompositionInput,
     ExplicitColoring,
     FormatError,
+    admissible_orders,
     build_cayley_coloring,
     certify,
     chung_compose,
     coloring_digest,
     find_mono_clique,
     make_field,
+    negation_closed,
     power_cosets,
     read_certificate,
+    save_coloring,
     verify_witness,
 )
+
+from ramseykit import verify
+from ramseykit.parallel import _search_roots
 
 from helpers import brute_mono_clique
 
@@ -80,6 +90,142 @@ def test_symmetry_mode_equivalence(p, m, t):
         assert (rooted is None) == (full is None)
         # the least clique of a circulant coloring always passes through 0
         assert rooted == full
+
+
+def _agreement_cases():
+    for m in (2, 3, 4):
+        for spec in admissible_orders(m, 2, 200, prime_only=True):
+            yield spec, m
+    for p, k in [(2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4)]:
+        spec = make_field(p, k)
+        yield from ((spec, m) for m in (2, 3, 4) if (spec.order - 1) % m == 0)
+
+
+def test_orbit_rooted_root_zero_and_full_scan_agree():
+    # every admissible prime <= 200 and GF(4) .. GF(81), m in {2, 3, 4},
+    # k in 2..6 (k = 2 and 3 leave 0 and 1 vertices for the edge search):
+    # the orbit search, the plain search from root 0 and the full scan
+    # return the same clique or None
+    compared = 0
+    for spec, m in _agreement_cases():
+        part = power_cosets(spec, m)
+        if not negation_closed(part):
+            continue
+        col = build_cayley_coloring(part)
+        for k in range(2, min(6, col.n) + 1):
+            for color in range(1, m + 1):
+                orbit = find_mono_clique(col, color, k, symmetry=True)
+                root0, _ = _search_roots(col.neighbor_rows(color), k, (0,))
+                full = find_mono_clique(col, color, k, symmetry=False)
+                assert orbit == root0 == full, (spec, m, k, color)
+                compared += 1
+    assert compared == 872
+
+
+def test_orbit_search_node_counts():
+    # one orbit per color on the cubic-residue colorings: the proofs of
+    # R(5,5,5) > 241 and R(6,6,6) > 691 visit 50 and 1,491 nodes, against
+    # 1,534 and 98,243 for every clique through vertex 0
+    for p, k, orbit_nodes, root0_nodes in [(241, 5, 50, 1534), (691, 6, 1491, 98243)]:
+        col = cubic(p)
+        assert verify_witness(col, (k, k, k)).nodes == orbit_nodes
+        assert sum(_search_roots(col.neighbor_rows(c), k, (0,))[1]
+                   for c in (1, 2, 3)) == root0_nodes
+
+
+def _orbit_sizes(col):
+    return {c: [len(members) for _, members in o]
+            for c, o in verify._edge_orbits(col, None).items()}
+
+
+def test_merged_cosets_have_a_larger_multiplier_group():
+    # three colors from the six sextic cosets of Z_37: only the multipliers
+    # in the sextic residues preserve them all, so d = 6, two orbits a color
+    field = make_field(37)
+    c = power_cosets(field, 6).cosets
+    col = CirculantColoring(field, [c[0] + c[1], c[2] + c[4], c[3] + c[5]])
+    assert _orbit_sizes(col) == {1: [6, 6], 2: [6, 6], 3: [6, 6]}
+    for k in range(2, 5):
+        for color in (1, 2, 3):
+            assert find_mono_clique(col, color, k) == brute_mono_clique(col, color, k)
+    for k in (5, 6):
+        for color in (1, 2, 3):
+            assert find_mono_clique(col, color, k) == \
+                find_mono_clique(col, color, k, symmetry=False)
+
+
+def _random_circulant(field, num_colors, rng):
+    # one color per pair {x, -x}: a negation-closed coloring
+    sets = [[] for _ in range(num_colors)]
+    for x in field.nonzero():
+        if field.neg(x) >= x:
+            sets[rng.randrange(num_colors)] += {x, field.neg(x)}
+    return CirculantColoring(field, sets)
+
+
+def test_random_partitions_fall_back_to_small_orbits():
+    # x -> -x preserves every negation-closed coloring, so a random one of
+    # Z_29 keeps the orbits {x, -x}; in GF(32), where -x = x and 31 is prime,
+    # only the identity is left and every orbit is one vertex
+    rng = random.Random(5)
+    z29 = _random_circulant(make_field(29), 3, rng)
+    gf32 = _random_circulant(make_field(2, 5), 3, rng)
+    assert all(size == 2 for sizes in _orbit_sizes(z29).values() for size in sizes)
+    assert all(size == 1 for sizes in _orbit_sizes(gf32).values() for size in sizes)
+    for col in (z29, gf32):
+        for k in range(2, 5):
+            for color in (1, 2, 3):
+                assert find_mono_clique(col, color, k) == brute_mono_clique(col, color, k)
+
+
+def test_empty_color_class():
+    field = make_field(13)
+    col = CirculantColoring(field, [list(field.nonzero()), []])
+    assert verify._edge_orbits(col, None)[2] == []
+    for k in (2, 3, 4):
+        assert find_mono_clique(col, 1, k) == tuple(range(k))
+        assert find_mono_clique(col, 2, k) is None
+    report = verify_witness(col, (14, 2))
+    assert report.passed and report.nodes == 0
+
+
+@st.composite
+def circulant_colorings(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    num_colors = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return _random_circulant(make_field(p), num_colors, rng)
+
+
+@settings(deadline=None, max_examples=60)
+@given(circulant_colorings(), st.integers(2, 4))
+def test_orbit_search_matches_brute_force(col, k):
+    if k > col.n:
+        return
+    for color in range(1, col.num_colors + 1):
+        assert find_mono_clique(col, color, k) == brute_mono_clique(col, color, k)
+
+
+def test_bad_generator_walk_stops_the_verifier(monkeypatch, tmp_path, capsys):
+    # g^3 has order 5 in GF(16)*: the verifier's walk must refuse it rather
+    # than search the orbits of a smaller group
+    from ramseykit.cli import main
+
+    gf16 = build_cayley_coloring(power_cosets(make_field(2, 4), 3))
+    path = tmp_path / "gf16.col"
+    save_coloring(gf16, path)
+    real = verify.multiplicative_generator
+    monkeypatch.setattr(verify, "multiplicative_generator",
+                        lambda spec: spec.pow(real(spec), 3))
+    with pytest.raises(AssertionError, match="generator is wrong"):
+        verify_witness(gf16, (3, 3, 3))
+    with pytest.raises(AssertionError, match="generator is wrong"):
+        find_mono_clique(gf16, 1, 3)
+    assert verify_witness(gf16, (3, 3, 3), symmetry=False).passed  # no walk
+    assert main(["verify", "-i", str(path), "--targets", "3,3,3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error:")
 
 
 def test_oracle_agreement_full_sweep():
