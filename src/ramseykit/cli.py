@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .coloring import FormatError, build_cayley_coloring, load_coloring, save_coloring
 from .construct import CompositionError, CompositionInput, chung_compose
@@ -45,6 +44,13 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _broken_pool():
+    """The BrokenProcessPool class if the process pool module is loaded, else
+    () (no pool ran, so none broke): catching it imports nothing."""
+    pool = sys.modules.get("concurrent.futures.process")
+    return () if pool is None else pool.BrokenProcessPool
 
 
 def _threads(args) -> int:
@@ -113,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_positive_int, default=None, metavar="N",
                         help="worker processes for verify and compose validation "
-                             "(default: all cores); search runs in one process")
+                             "(default: all cores); they start only for a full scan "
+                             "with at least 1024 vertices per worker, and search "
+                             "runs in one process")
     common.add_argument("--deterministic", action="store_true",
                         help="accepted and ignored: witnesses are always the "
                              "lexicographically least")
@@ -189,7 +197,7 @@ def main(argv=None) -> int:
         # devnull takes what is still buffered, so the final flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INTERNAL
-    except BrokenProcessPool as exc:
+    except _broken_pool() as exc:  # evaluated only while an exception is handled
         print(f"internal error: a worker process died ({exc})", file=sys.stderr)
         return EXIT_INTERNAL
     except FormatError as exc:

@@ -18,14 +18,14 @@ The text file format is line oriented and version tagged::
 followed, for circulant colorings, by ``field=<p>[^<k> poly=<c0,...,ck>]``
 and one ``color <i>: d1 d2 ...`` line per color (ascending canonical
 encodings), or, for explicit colorings, by n-1 lines where line i lists
-the colors of the edges {i, i+1} .. {i, n-1}.  Writing is canonical, so a
-save/load round trip is byte exact.
+the colors of the edges {i, i+1} .. {i, n-1} in canonical decimal (no sign,
+no leading zero; the reader accepts nothing else).  Writing is canonical,
+so a save/load round trip is byte exact.
 """
 
 from __future__ import annotations
 
 import re
-from hashlib import sha256
 from pathlib import Path
 
 from .field import FieldSpec
@@ -232,6 +232,7 @@ def build_cayley_coloring(partition: CosetPartition) -> CirculantColoring:
 _META_RE = re.compile(r"^n=(\d+) colors=(\d+) repr=(circulant|explicit)$")
 _FIELD_RE = re.compile(r"^field=(\d+)(?:\^(\d+) poly=(\d+(?:,\d+)*))?$")
 _TOKENS = [str(c) for c in range(256)]
+_TOKEN_VALUE = {t: c for c, t in enumerate(_TOKENS)}  # canonical decimal only
 
 
 def dumps_coloring(coloring: EdgeColoring) -> str:
@@ -310,9 +311,10 @@ def _parse_explicit(n: int, num_colors: int, body: list[str]) -> ExplicitColorin
         if len(tokens) != n - 1 - u:
             raise FormatError(f"row {u} should list {n - 1 - u} colors, got {len(tokens)}")
         try:
-            row = bytes(map(int, tokens))
-        except ValueError:
-            raise FormatError(f"row {u}: color out of range or not an integer") from None
+            row = bytes(map(_TOKEN_VALUE.__getitem__, tokens))
+        except KeyError as exc:
+            raise FormatError(f"row {u}: color {exc.args[0]!r} is not an integer "
+                              f"0..255 in canonical decimal") from None
         lo, hi = min(row), max(row)
         if lo < 1 or hi > num_colors:
             raise FormatError(f"color out of range: {lo if lo < 1 else hi}")
@@ -337,4 +339,6 @@ def load_coloring(source) -> EdgeColoring:
 
 def coloring_digest(coloring: EdgeColoring) -> str:
     """SHA-256 of the canonical file bytes; ties certificates to colorings."""
+    from hashlib import sha256  # most commands never take a digest
+
     return sha256(dumps_coloring(coloring).encode("ascii")).hexdigest()

@@ -3,27 +3,54 @@
 ``rows[v]`` is vertex v's neighbour set as an int bitmask; ``_search_roots``
 finds the least k-clique whose minimum vertex is one of the given roots.
 ``verify`` runs it on a coloring's neighbour rows, ``residues`` on the
-difference rows of the sieved residue list.
+difference rows of the sieved residue list.  The rows are symmetric, or
+(``residues``) hold only the bits above their own vertex.
+
+The last level before a clique is complete (two vertices still needed) is
+the hot one on the large K3 searches of composed witnesses.  There a dense
+candidate set is walked by string position, one big-int AND per candidate,
+instead of peeling its least bit in a loop of five big-int operations.
 
 ``ordered_search(search, args, items, workers)`` runs ``search(*args, items)``
 over consecutive chunks of ``items``; each call returns a tuple whose ``[0]``
 is its least hit or None.  The first chunk with a hit holds the least hit
-overall, whatever the worker count.  Only ``verify`` uses it.
+overall, whatever the worker count.  Only ``verify`` uses it, and only for
+a full scan with enough roots per worker; the process pool is imported when
+the first one starts, so a command that never starts one never loads
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 # Chunks per worker.  More chunks let a hit in an early chunk cancel more of
 # the later work; fewer keep the per-chunk round trips cheap.
 CHUNKS_PER_WORKER = 8
+
+# Fewest candidates for the position walk at need == 2.  Below it the loop
+# wins: enumerating positions at every level, sparse sets included, made the
+# K6 search of the Z_691 colouring 2.4x slower.
+_DENSE = 64
 
 _job = None  # (search, args) in a worker process, set by _init_worker
 
 
 def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
     stats[0] += 1
+    if need == 2 and cand.bit_count() >= _DENSE:
+        # The first candidate v with a neighbour in cand, paired with its
+        # least one, is the least edge: a partner u < v of v in cand would
+        # have been found at u.  The top candidate has no partner above it.
+        bits = bin(cand)[:1:-1]  # bits[v] == "1" iff v is a candidate
+        top = len(bits) - 1
+        v = bits.find("1", 0, top)
+        while v >= 0:
+            hit = cand & rows[v]
+            if hit:
+                stats[0] += 1  # the need == 1 node that the loop below visits
+                prefix += (v, (hit & -hit).bit_length() - 1)
+                return prefix
+            v = bits.find("1", v + 1, top)
+        return None
     while cand:
         if cand.bit_count() < need:
             return None
@@ -72,9 +99,13 @@ def ordered_search(search, args: tuple, items, workers: int) -> list:
     in order, up to the first whose ``[0]`` is a hit (later chunks are
     cancelled), so ``results[-1][0]`` is the least hit or None.  With
     ``workers <= 1`` or fewer than ``2 * workers`` items, one in-process
-    call searches all of ``items``."""
+    call searches all of ``items``; otherwise a pool of ``workers``
+    processes starts for this call.  The caller decides whether the work
+    is worth the pool (``verify.MIN_ROOTS_PER_WORKER``)."""
     if workers <= 1 or len(items) < 2 * workers:
         return [search(*args, items)]
+    from concurrent.futures import ProcessPoolExecutor  # first use only
+
     n_chunks = min(len(items), CHUNKS_PER_WORKER * workers)
     cuts = [len(items) * i // n_chunks for i in range(n_chunks + 1)]
     results = []

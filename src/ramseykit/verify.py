@@ -26,10 +26,14 @@ cubic-residue colorings d = 3 and each color is one orbit: the K6 proof
 for Z_691 visits 1,491 nodes (98,243 rooted at 0), the K7 proof for Z_1213
 5,795 (584,275).
 
-Several workers search consecutive chunks of roots (see ``parallel``) and
-stop at the first chunk holding a clique, so the clique, and the node
-count of a passing search, do not depend on the worker count; a refuted
-parallel search counts only the nodes of the chunks it consumed.
+A full scan (explicit colorings, or ``symmetry=False``) searches from every
+root.  With ``workers`` > 1 and at least ``MIN_ROOTS_PER_WORKER`` roots per
+worker, several worker processes search consecutive chunks of roots (see
+``parallel``) and stop at the first chunk holding a clique; smaller scans
+run in-process, because starting a pool costs more than it saves there.
+The chunk order makes the clique and the node count independent of the
+worker count: the chunks before the hit are searched whole, and the hit's
+chunk up to the hit, as one process would.
 """
 
 from __future__ import annotations
@@ -43,6 +47,15 @@ from .parallel import _dfs, _search_roots, ordered_search
 
 CERT_HEADER = "ramsey-certificate v1"
 _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
+
+# Fewest roots per worker process for a full scan; a scan gets
+# min(workers, n // MIN_ROOTS_PER_WORKER) workers and runs in-process at 1.
+# On 2 vCPUs the K3 verify of the 1493-vertex composed witness broke even
+# with 2 workers (0.56-0.62 s with 1, 0.58-0.62 s with 2), every smaller
+# chain level was slower with them (481 vertices: 0.08 s against 0.18 s),
+# and the 4634-vertex witness gained (`verify`: 10.1 / 10.9 s with 1,
+# 8.3 / 8.6 s with 2).
+MIN_ROOTS_PER_WORKER = 1024
 
 
 def _recheck_clique(coloring: EdgeColoring, color: int, clique) -> None:
@@ -101,6 +114,7 @@ def _find(coloring: EdgeColoring, color: int, k: int, orbits,
         # lazily built rows of a circulant coloring
         roots, nodes = range(coloring.n), 0
         rows = [rows[u] for u in roots]
+        workers = min(workers, coloring.n // MIN_ROOTS_PER_WORKER)
     else:
         hit, nodes = _orbit_search(rows, k, orbits[color])
         if not hit:

@@ -20,6 +20,41 @@ def brute_has_mono_clique(coloring, k):
     return False
 
 
+def loop_search_roots(rows, k, roots):
+    """Least k-clique whose minimum vertex is in roots, plus the nodes
+    visited: the clique kernel as it was before its need == 2 position walk,
+    peeling the least candidate bit at every level."""
+    stats = [0]
+
+    def dfs(cand, need, prefix):
+        stats[0] += 1
+        while cand:
+            if cand.bit_count() < need:
+                return None
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            if need == 1:
+                prefix.append(v)
+                return prefix
+            nxt = cand & rows[v]
+            if nxt.bit_count() >= need - 1:
+                prefix.append(v)
+                if dfs(nxt, need - 1, prefix) is not None:
+                    return prefix
+                prefix.pop()
+        return None
+
+    for r in roots:
+        cand = (rows[r] >> (r + 1)) << (r + 1)
+        if cand.bit_count() < k - 1:
+            continue
+        found = dfs(cand, k - 1, [r])
+        if found is not None:
+            return tuple(found), stats[0]
+    return None, stats[0]
+
+
 def least_member(targets, items):
     """Toy search for parallel.ordered_search: the first item in targets (or
     None), and the items scanned up to it."""

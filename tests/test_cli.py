@@ -149,6 +149,15 @@ def test_verify_malformed_file_exits_4(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("token", ["01", "+1", "256"])
+def test_verify_non_canonical_color_exits_4(tmp_path, capsys, token):
+    path = tmp_path / "bad.coloring"
+    path.write_text(f"ramsey-coloring v1\nn=3 colors=1 repr=explicit\n1 {token}\n1\n")
+    code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3")
+    assert (code, out) == (4, "")
+    assert "canonical decimal" in err
+
+
 def test_verify_missing_file_exits_4(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "-i", str(tmp_path / "nope"), "--targets", "3")
     assert code == 4
@@ -290,3 +299,14 @@ def test_crashed_worker_exits_3(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3,3")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: a worker process died")
+
+
+def test_import_loads_no_pool_or_hashlib():
+    # a command that starts no worker and takes no digest pays for neither
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys, ramseykit.cli\n"
+              "print([m for m in ('multiprocessing', 'concurrent.futures', 'hashlib')"
+              " if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

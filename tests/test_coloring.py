@@ -162,6 +162,13 @@ def test_load_rejects_color_out_of_range():
         loads_coloring("ramsey-coloring v1\nn=3 colors=2 repr=explicit\n1 3\n2\n")
 
 
+@pytest.mark.parametrize("token", ["01", "+1", "256", "1.0", "x", "-1", "0x1"])
+def test_load_rejects_non_canonical_color_token(token):
+    # explicit rows hold canonical decimal colors, as save_coloring writes them
+    with pytest.raises(FormatError, match="row 0: color .* canonical decimal"):
+        loads_coloring(f"ramsey-coloring v1\nn=3 colors=2 repr=explicit\n1 {token}\n2\n")
+
+
 def test_load_rejects_non_negation_closed_circulant():
     text = ("ramsey-coloring v1\n"
             "n=5 colors=2 repr=circulant\n"

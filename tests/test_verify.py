@@ -42,6 +42,15 @@ def cubic(p):
     return build_cayley_coloring(power_cosets(make_field(p), 3))
 
 
+def gf16_cubic():
+    return build_cayley_coloring(power_cosets(make_field(2, 4), 3))
+
+
+def h50():
+    """The composed witness of R(3,3,3,3) >= 51, an explicit coloring."""
+    return chung_compose(CompositionInput(gf16_cubic(), ExplicitColoring(2, 1, b"\x01"), (3,)))
+
+
 def test_pentagon_triangle_free():
     assert find_mono_clique(pentagon(), 1, 3) is None
     assert find_mono_clique(pentagon(), 2, 3) is None
@@ -271,10 +280,56 @@ def test_worker_determinism(workers):
     col241 = cubic(241)
     assert find_mono_clique(col241, 1, 5, workers=workers) is None
     # a passing search visits the same nodes however its roots are chunked
-    gf16 = build_cayley_coloring(power_cosets(make_field(2, 4), 3))
-    h50 = chung_compose(CompositionInput(gf16, ExplicitColoring(2, 1, b"\x01"), (3,)))
-    assert verify_witness(h50, (3, 3, 3, 3), workers=workers).nodes == \
-        verify_witness(h50, (3, 3, 3, 3)).nodes
+    assert verify_witness(h50(), (3, 3, 3, 3), workers=workers).nodes == \
+        verify_witness(h50(), (3, 3, 3, 3)).nodes
+
+
+def test_chain_verify_node_counts():
+    # the K3 kernel's need == 2 position walk visits exactly the nodes of the
+    # plain loop (h1493's rows cross 64 candidates at that level)
+    h155 = chung_compose(CompositionInput(h50(), pentagon(), (3, 3)), validate=False)
+    h481 = chung_compose(CompositionInput(h155, gf16_cubic(), (3, 3, 3)), validate=False)
+    h1493 = chung_compose(CompositionInput(h481, h50(), (3, 3, 3, 3)), validate=False)
+    assert verify_witness(h481, (3,) * 6).nodes == 2760
+    report = verify_witness(h1493, (3,) * 7, workers=2)
+    assert report.passed and report.nodes == 10124
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_forced_worker_pool_agrees(workers, monkeypatch):
+    # below MIN_ROOTS_PER_WORKER roots per worker a full scan runs in-process;
+    # with the threshold at 1 the pool starts, and must change nothing
+    import concurrent.futures
+
+    paley13 = paley(13).to_explicit()
+    cases = [(h50(), (3, 3, 3, 3)), (paley13, (3, 3)), (paley13, (5, 5))]
+    expected = [verify_witness(col, targets) for col, targets in cases]
+    assert [r.cliques[0] for r in expected] == [None, (0, 1, 4), None]
+
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify, "MIN_ROOTS_PER_WORKER", 1)
+    for (col, targets), want in zip(cases, expected):
+        got = verify_witness(col, targets, workers=workers)
+        assert (got.cliques, got.nodes) == (want.cliques, want.nodes)
+    # one pool per color of every case: 4 + 2 + 2
+    assert started == ([] if workers == 1 else [workers] * 8)
+
+
+def test_full_scan_below_the_threshold_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started for a small full scan")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert verify_witness(h50(), (3, 3, 3, 3), workers=8).passed
 
 
 def test_verify_witness_pentagon():
