@@ -84,10 +84,11 @@ class CirculantColoring(EdgeColoring):
         diff_color = bytearray(n)
         covered = 0
         for ci, s in enumerate(sets, 1):
+            members = set(s)
             for d in s:
                 if not 1 <= d < n:
                     raise ValueError(f"connection value {d} is not a nonzero element")
-                if field.neg(d) not in s:
+                if field.neg(d) not in members:
                     raise ValueError(
                         f"connection set for color {ci} is not closed under negation "
                         f"({d} present, {field.neg(d)} missing)")

@@ -10,14 +10,34 @@ indices.
 The encoding also fixes a total order on elements (plain integer order),
 which everything that promises a "first found" or "least" result relies
 on.
+
+Prime fields use plain int arithmetic.  GF(p^k) arithmetic (k > 1) is
+table lookups, in tables built once per field on first use from one
+checked walk over the powers of the least multiplicative generator g
+(Zech logarithms; Lidl & Niederreiter, *Finite Fields*, section 9): the
+antilog list ``exp[i] = g^i``, the logs ``log[g^i] = i``, and for odd p
+the Zech logs ``zech[i] = log(1 + g^i)``.  ``mul``, ``inv`` and ``pow``
+add or scale logs mod N - 1; odd-p ``add``, ``sub`` and ``neg`` use
+a + b = a * (1 + b/a) and -1 = g^((N-1)/2); characteristic 2 adds by
+XOR.  Polynomial multiplication remains only in the test that finds g.
+
+The tables cap Galois arithmetic at ``GALOIS_MAX_ORDER`` = 2^20 elements:
+at the cap they take about 50 MB and 1-2 s to build (GF(3^8): 0.3 MB,
+0.02 s).  Above it the first operation that needs the tables (all but
+addition in characteristic 2) raises ValueError, while ``make_field``
+and the order listings still work up to ``MAX_ORDER``.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 
 MAX_ORDER = 1 << 31
+# Largest GF(p^k), k > 1, with arithmetic: its tables take 42-49 bytes an
+# element (the antilog list and its ints, 4-byte logs and Zech logs).
+GALOIS_MAX_ORDER = 1 << 20
 
 # Strong-pseudoprime bases proven deterministic for n < 3.3 * 10^24,
 # far beyond MAX_ORDER.
@@ -179,24 +199,30 @@ class FieldSpec:
 
     # -- arithmetic ------------------------------------------------------
 
+    @functools.cached_property
+    def _tables(self) -> "_Tables":
+        # held per instance for fast lookups; equal fields share one build
+        return _galois_tables(self)
+
     def add(self, a: int, b: int) -> int:
         p = self.characteristic
         if self.degree == 1:
             return (a + b) % p
         if p == 2:
             return a ^ b
-        k = self.degree
-        da, db = _decode_digits(a, p, k), _decode_digits(b, p, k)
-        return _encode_digits([(x + y) % p for x, y in zip(da, db)], p)
+        if not b:
+            return a
+        t = self._tables
+        return t.zech_add(a, t.log[b])
 
     def neg(self, a: int) -> int:
         p = self.characteristic
         if self.degree == 1:
             return (-a) % p
-        if p == 2:
+        if p == 2 or not a:
             return a
-        k = self.degree
-        return _encode_digits([(-x) % p for x in _decode_digits(a, p, k)], p)
+        t = self._tables
+        return t.exp[(t.log[a] + t.half) % t.q]
 
     def sub(self, a: int, b: int) -> int:
         p = self.characteristic
@@ -204,54 +230,147 @@ class FieldSpec:
             return (a - b) % p
         if p == 2:
             return a ^ b
-        k = self.degree
-        da, db = _decode_digits(a, p, k), _decode_digits(b, p, k)
-        return _encode_digits([(x - y) % p for x, y in zip(da, db)], p)
+        if not b:
+            return a
+        t = self._tables
+        return t.zech_add(a, t.log[b] + t.half)  # -b = g^half * b
 
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return a * b % self.characteristic
-        if self.order <= 256:
-            return _mul_table(self)[a][b]
-        return self._poly_mul(a, b)
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        p, k = self.characteristic, self.degree
-        da, db = _decode_digits(a, p, k), _decode_digits(b, p, k)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        return _encode_digits(_poly_rem(prod, self.modulus_poly, p), p)
+        if not (a and b):
+            return 0
+        t = self._tables
+        return t.exp[(t.log[a] + t.log[b]) % t.q]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative inverse")
         if self.degree == 1:
             return pow(a, self.characteristic - 2, self.characteristic)
-        return self.pow(a, self.order - 2)
+        t = self._tables
+        return t.exp[-t.log[a] % t.q]
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply exponentiation; negative e inverts first."""
+        """a^e; negative e inverts first."""
         if self.degree == 1:
             return pow(a, e, self.characteristic)
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise ValueError("0 has no multiplicative inverse")
+            return 0 if e else 1
+        t = self._tables
+        return t.exp[t.log[a] * e % t.q]
+
+
+class _Tables:
+    """Log/antilog/Zech tables of one GF(p^k) for its least generator g;
+    q = N - 1 is the group order and half = q // 2 the log of -1."""
+
+    __slots__ = ("g", "q", "half", "exp", "log", "zech")
+
+    def __init__(self, g, exp, log, zech):
+        self.g, self.exp, self.log, self.zech = g, exp, log, zech
+        self.q = len(exp)
+        self.half = self.q // 2
+
+    def zech_add(self, a: int, lb: int) -> int:
+        """a + g^lb for odd p: a * (1 + g^(lb - log a))."""
+        q = self.q
+        if not a:
+            return self.exp[lb % q]
+        la = self.log[a]
+        z = self.zech[(lb - la) % q]
+        return 0 if z == q else self.exp[(la + z) % q]
+
+
+def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_rem(prod, mod, p)
+
+
+def _poly_pow(a: list[int], e: int, mod: tuple[int, ...], p: int) -> list[int]:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, a, mod, p)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(a, a, mod, p)
+    return result
+
+
+def _times_table(spec: FieldSpec, g: int) -> list[int]:
+    """g * a for every element a, by linearity over Z_p from the images
+    g * x^j of the basis."""
+    p, k, mod = spec.characteristic, spec.degree, spec.modulus_poly
+    images = [_decode_digits(g, p, k)]
+    for _ in range(k - 1):  # g * x^(j+1) = x * (g * x^j): shift, then reduce
+        images.append(_poly_rem([0] + images[-1], mod, p))
+    if p == 2:
+        table = [0]
+        for img in images:
+            img = _encode_digits(img, 2)
+            table += [t ^ img for t in table]
+        return table
+    # digit i of g * a is the sum over j of a_j * images[j][i], mod p;
+    # one column of digits at a time, most significant first
+    table = [0] * spec.order
+    for i in reversed(range(k)):
+        col = [0]
+        for img in images:
+            s = img[i]
+            col = [(v + c * s) % p for c in range(p) for v in col] if s else col * p
+        table = [t * p + d for t, d in zip(table, col)]
+    return table
+
+
+def _walk(step, n: int, g: int) -> list[int]:
+    """1, g, g^2, ..., g^(n-2) by n - 1 applications of step (x -> x * g),
+    checked: the walk must come back to 1 after exactly n - 1 steps without
+    repeating an element, so g generates the multiplicative group;
+    otherwise AssertionError."""
+    seen = bytearray(n)
+    powers = []
+    x = 1
+    for i in range(n - 1):
+        if seen[x]:
+            raise AssertionError(f"{g} revisits {x} after {i} steps; generator is wrong")
+        seen[x] = 1
+        powers.append(x)
+        x = step(x)
+    if x != 1:
+        raise AssertionError(f"{g}^{n - 1} = {x} != 1; generator is wrong")
+    return powers
 
 
 @functools.lru_cache(maxsize=None)
-def _mul_table(spec: FieldSpec) -> list[list[int]]:
-    n = spec.order
-    return [[spec._poly_mul(a, b) for b in range(n)] for a in range(n)]
+def _galois_tables(spec: FieldSpec) -> _Tables:
+    p, k, n = spec.characteristic, spec.degree, spec.order
+    if n > GALOIS_MAX_ORDER:
+        raise ValueError(f"{spec} arithmetic needs tables of {n} entries; "
+                         f"Galois fields are supported up to order 2^20")
+    q = n - 1
+    factors = _prime_factors(q)
+    one = [1] + [0] * (k - 1)
+    # the least generator, by the polynomial test g^(q/r) != 1 for every
+    # prime r | q; the constants 2..p-1 lie in Z_p*, of order < q
+    g = next(g for g in range(p, n)
+             if all(_poly_pow(_decode_digits(g, p, k), q // r, spec.modulus_poly, p) != one
+                    for r in factors))
+    exp = _walk(_times_table(spec, g).__getitem__, n, g)
+    log = array("I", [q]) * n  # log[0] = q stands for "no log"
+    for i, x in enumerate(exp):
+        log[x] = i
+    zech = None
+    if p > 2:
+        # 1 + x adds 1 to the constant digit of x, which wraps at p - 1
+        zech = array("I", [log[x + 1 if (x + 1) % p else x + 1 - p] for x in exp])
+    return _Tables(g, exp, log, zech)
 
 
 def make_field(p: int, k: int = 1) -> FieldSpec:
@@ -329,6 +448,8 @@ def _prime_factors(n: int) -> list[int]:
 @functools.lru_cache(maxsize=None)
 def multiplicative_generator(spec: FieldSpec) -> int:
     """Least element generating the (cyclic) multiplicative group."""
+    if spec.degree > 1:
+        return spec._tables.g
     n1 = spec.order - 1
     if n1 == 1:
         return 1
@@ -343,17 +464,12 @@ def generator_powers(spec: FieldSpec, g: int) -> list[int]:
     """g^0, g^1, ..., g^(N-2) for the field of order N, by one walk of N - 1
     multiplications.  The walk is checked, not trusted: it must come back to
     1 after exactly N - 1 steps without repeating an element, so g generates
-    the multiplicative group; otherwise AssertionError."""
-    n = spec.order
-    seen = bytearray(n)
-    powers = []
-    x = 1
-    for i in range(n - 1):
-        if seen[x]:
-            raise AssertionError(f"{g} revisits {x} after {i} steps; generator is wrong")
-        seen[x] = 1
-        powers.append(x)
-        x = spec.mul(x, g)
-    if x != 1:
-        raise AssertionError(f"{g}^{n - 1} = {x} != 1; generator is wrong")
-    return powers
+    the multiplicative group; otherwise AssertionError.  For the least
+    generator of GF(p^k) this is the (already checked) antilog table itself,
+    not a copy: do not modify it."""
+    if spec.degree == 1:
+        p = spec.characteristic
+        return _walk(lambda x: x * g % p, p, g)
+    if g == spec._tables.g:
+        return spec._tables.exp
+    return _walk(functools.partial(spec.mul, g), spec.order, g)

@@ -1,10 +1,12 @@
 """The bitset clique kernel and the ordered-chunk parallel search.
 
 ``rows[v]`` is vertex v's neighbour set as an int bitmask; ``_search_roots``
-finds the least k-clique whose minimum vertex is one of the given roots.
-``verify`` runs it on a coloring's neighbour rows, ``residues`` on the
-difference rows of the sieved residue list.  The rows are symmetric, or
-(``residues``) hold only the bits above their own vertex.
+finds the least k-clique whose minimum vertex is one of the given roots,
+and ``orbit_search`` decides whether any k-clique exists by searching one
+vertex per orbit of a symmetry group.  ``verify`` runs both on a coloring's
+neighbour rows, ``residues`` on the difference rows of the sieved residue
+list.  The rows are symmetric, or (``residues``) hold only the bits above
+their own vertex.
 
 The last level before a clique is complete (two vertices still needed) is
 the hot one on the large K3 searches of composed witnesses.  There a dense
@@ -81,6 +83,33 @@ def _search_roots(rows, k: int, roots) -> tuple[tuple[int, ...] | None, int]:
         if found is not None:
             return tuple(found), stats[0]
     return None, stats[0]
+
+
+def orbit_search(rows, k: int, orbits, prefix: tuple[int, ...] = ()) -> tuple[bool, int]:
+    """Whether some k-clique holds ``prefix`` plus an orbit's least member s,
+    and otherwise only members of s's orbit and of the orbits after it; plus
+    the number of search nodes visited.
+
+    ``orbits`` lists (least member, members) by least member, for a group
+    of automorphisms of ``rows`` that fix every vertex of ``prefix``.  Any
+    k-clique through ``prefix`` maps into that shape (send a vertex of the
+    first orbit it meets to the orbit's least member), so a miss on every
+    orbit proves that there is none.  When every vertex left after the
+    excluded orbits lies above s, rows holding only the bits above their
+    own vertex suffice (``residues``)."""
+    stats = [0]
+    base = -1
+    for v in prefix:
+        base &= rows[v]
+    need = k - len(prefix) - 1
+    excluded = 0
+    for s, members in orbits:
+        if need == 0 or _dfs(rows, base & rows[s] & ~excluded, need, [*prefix, s],
+                             stats) is not None:
+            return True, stats[0]
+        for x in members:
+            excluded |= 1 << x
+    return False, stats[0]
 
 
 def _init_worker(search, args) -> None:

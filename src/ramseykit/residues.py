@@ -13,6 +13,15 @@ the full coloring: one process runs the bitset clique kernel of
 ``parallel`` on the difference rows of the sieved residues, built on
 first use.  Coset labels come from one walk over the powers of the least
 generator g: g^i lies in coset i mod m.
+
+Whether a witness exists is decided first, by one root per orbit of the
+anharmonic group <x -> 1 - x, x -> 1/x> (isomorphic to S_3) on the sieved
+list.  When -1 is a residue both maps send sieved residues to sieved
+residues and residue differences to residue differences: (1 - x) - (1 - y)
+= y - x, 1/x - 1/y = (y - x)/(xy), (1 - r) - 1 = -r and 1/r - 1 =
+(1 - r)/r.  The search checks that each map is an involution of the list
+before it prunes anything.  Only on a hit does the ascending search over
+every root run, for the least witness.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldSpec, generator_powers, multiplicative_generator
-from .parallel import _search_roots
+from .parallel import _search_roots, orbit_search
 
 _NO_LABEL = 255
 # Coset label -> "1" for the residues (label 0), "0" for the rest
@@ -159,6 +168,43 @@ class _DiffRows(dict):
         return row
 
 
+def _flip(field: FieldSpec, x: int) -> int:
+    return field.sub(1, x)
+
+
+def _reciprocal(field: FieldSpec, x: int) -> int:
+    return field.inv(x)
+
+
+def anharmonic_orbits(field: FieldSpec, sv) -> list[tuple[int, list[int]]]:
+    """Orbits of <x -> 1 - x, x -> 1/x> on the ascending sieved list ``sv``,
+    as (least index, member indices), least first.  Each map must send
+    ``sv`` to itself and undo itself (an O(|sv|) check); otherwise
+    AssertionError."""
+    index = {x: i for i, x in enumerate(sv)}
+    maps = []
+    for phi in (_flip, _reciprocal):
+        image = [index.get(phi(field, x), -1) for x in sv]
+        for i, j in enumerate(image):
+            if j < 0 or image[j] != i:
+                raise AssertionError(f"{phi.__name__} is not an involution of the "
+                                     f"sieved residues of {field} at {sv[i]}")
+        maps.append(image)
+    placed = [False] * len(sv)
+    orbits = []
+    for i in range(len(sv)):
+        if not placed[i]:
+            placed[i] = True
+            members = [i]
+            for v in members:  # grows to the closure under both maps
+                for image in maps:
+                    if not placed[image[v]]:
+                        placed[image[v]] = True
+                        members.append(image[v])
+            orbits.append((i, members))
+    return orbits
+
+
 def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitness | None:
     """Search for a normalized monochromatic-K_t witness.
 
@@ -166,8 +212,10 @@ def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitne
     element order) or None if the Cayley coloring built from this
     partition contains no monochromatic K_t in any color.  The t - 2
     elements besides 1 form a clique of the difference rows of the sieved
-    residue list (``_DiffRows``); the ascending bitset search of
-    ``parallel._search_roots`` over that ascending list returns the least.
+    residue list (``_DiffRows``).  ``parallel.orbit_search`` over the
+    anharmonic orbits decides whether one exists; on a hit the ascending
+    bitset search of ``parallel._search_roots`` over that ascending list
+    returns the least.
     """
     if t < 3:
         raise ValueError("clique size t must be >= 3")
@@ -181,7 +229,10 @@ def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitne
         found = (0,) if sv else None
     else:
         rows = _DiffRows(partition.field, partition._labels, sv)
-        found, _ = _search_roots(rows, need, range(len(sv) - need + 1))
+        found = None
+        hit, _ = orbit_search(rows, need, anharmonic_orbits(partition.field, sv))
+        if hit:
+            found, _ = _search_roots(rows, need, range(len(sv) - need + 1))
     if found is None:
         return None
     witness = NormalizedWitness(t, (1,) + tuple(sv[i] for i in found))

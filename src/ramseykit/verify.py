@@ -43,7 +43,7 @@ from pathlib import Path
 
 from .coloring import EdgeColoring, FormatError, coloring_digest
 from .field import generator_powers, multiplicative_generator
-from .parallel import _dfs, _search_roots, ordered_search
+from .parallel import _search_roots, orbit_search, ordered_search
 
 CERT_HEADER = "ramsey-certificate v1"
 _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
@@ -88,21 +88,6 @@ def _edge_orbits(coloring: EdgeColoring, symmetry: bool | None) -> dict | None:
     return {c: sorted(o) for c, o in orbits.items()}
 
 
-def _orbit_search(rows, k: int, orbits) -> tuple[bool, int]:
-    """Whether some k-clique contains an edge (0, s), s an orbit's least
-    member, with the members of the orbits searched before excluded; plus
-    the number of search nodes visited."""
-    stats = [0]
-    excluded = 0
-    for s, members in orbits:
-        if k == 2 or _dfs(rows, rows[0] & rows[s] & ~excluded, k - 2, [0, s],
-                          stats) is not None:
-            return True, stats[0]
-        for x in members:
-            excluded |= 1 << x
-    return False, stats[0]
-
-
 def _find(coloring: EdgeColoring, color: int, k: int, orbits,
           workers: int) -> tuple[tuple[int, ...] | None, int]:
     coloring._check_color(color)
@@ -116,7 +101,7 @@ def _find(coloring: EdgeColoring, color: int, k: int, orbits,
         rows = [rows[u] for u in roots]
         workers = min(workers, coloring.n // MIN_ROOTS_PER_WORKER)
     else:
-        hit, nodes = _orbit_search(rows, k, orbits[color])
+        hit, nodes = orbit_search(rows, k, orbits[color], (0,))
         if not hit:
             return None, nodes
         roots = (0,)  # the least clique passes through 0

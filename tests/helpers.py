@@ -153,3 +153,83 @@ def subset_witness(partition, t):
 
     found = extend(0, [])
     return None if found is None else (1,) + tuple(found)
+
+
+# Polynomial and digit arithmetic in GF(p^k), as the field module did it
+# before its log/Zech tables: the oracle for the tables.
+
+def _digits(spec, a):
+    out = []
+    for _ in range(spec.degree):
+        a, r = divmod(a, spec.characteristic)
+        out.append(r)
+    return out
+
+
+def _encode(digits, p):
+    x = 0
+    for c in reversed(digits):
+        x = x * p + c
+    return x
+
+
+def poly_add(spec, a, b):
+    p = spec.characteristic
+    return _encode([(x + y) % p for x, y in zip(_digits(spec, a), _digits(spec, b))], p)
+
+
+def poly_sub(spec, a, b):
+    p = spec.characteristic
+    return _encode([(x - y) % p for x, y in zip(_digits(spec, a), _digits(spec, b))], p)
+
+
+def poly_neg(spec, a):
+    p = spec.characteristic
+    return _encode([-x % p for x in _digits(spec, a)], p)
+
+
+def poly_mul(spec, a, b):
+    """Schoolbook product, reduced by long division by the modulus."""
+    p, k = spec.characteristic, spec.degree
+    if k == 1:
+        return a * b % p
+    prod = [0] * (2 * k - 1)
+    db = _digits(spec, b)
+    for i, x in enumerate(_digits(spec, a)):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] += x * y
+    mod = spec.modulus_poly
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(k):
+                prod[i - k + j] -= c * mod[j]
+    return _encode([c % p for c in prod[:k]], p)
+
+
+def poly_inv(spec, a):
+    """a^(N-2) by square and multiply."""
+    assert a != 0
+    result, base, e = 1, a, spec.order - 2
+    while e:
+        if e & 1:
+            result = poly_mul(spec, result, base)
+        base = poly_mul(spec, base, base)
+        e >>= 1
+    return result
+
+
+def plain_witness(partition, t):
+    """Elements of the least normalized K_t witness, or None, by the ascending
+    search over every root without the anharmonic orbit pruning."""
+    from ramseykit.parallel import _search_roots
+    from ramseykit.residues import _DiffRows, sieve
+
+    sv = tuple(sieve(partition))
+    need = t - 2
+    if need == 1:
+        return (1, sv[0]) if sv else None
+    rows = _DiffRows(partition.field, partition._labels, sv)
+    found, _ = _search_roots(rows, need, range(len(sv) - need + 1))
+    return None if found is None else (1,) + tuple(sv[i] for i in found)

@@ -54,6 +54,12 @@ def test_search_galois(capsys):
     assert out == "16: BOUND R(3,3,3)>=17\n"
 
 
+def test_search_galois_odd_characteristic(capsys):
+    # GF(3^8) through the Zech-logarithm tables
+    code, out, _ = run(capsys, "search", "--galois", "3,8", "--mod", "2", "-t", "7")
+    assert (code, out) == (0, "6561: witness 1,2,9,10,11,18\n")
+
+
 def test_search_reports_witness(capsys):
     code, out, _ = run(capsys, "search", "--mod", "2", "-t", "3",
                        "--min", "13", "--max", "13")

@@ -107,6 +107,19 @@ def test_circulant_validation():
         CirculantColoring(f5, [(1, 4)])
 
 
+def test_circulant_validation_odd_characteristic_galois():
+    # in GF(9) negation maps the encoding 3 = x to 6 = 2x: a set holding 3
+    # without 6 is refused, the squares and non-squares are accepted
+    gf9 = make_field(3, 2)
+    squares, others = power_cosets(gf9, 2).cosets
+    assert (squares, others) == ((1, 2, 3, 6), (4, 5, 7, 8))
+    assert CirculantColoring(gf9, [squares, others]).edge_color(0, 6) == 1
+    with pytest.raises(ValueError, match=r"color 1 is not closed under negation \(3 present, 6 missing\)"):
+        CirculantColoring(gf9, [(1, 2, 3), (4, 5, 6, 7, 8)])
+    with pytest.raises(ValueError, match=r"color 2 is not closed under negation \(4 present, 8 missing\)"):
+        CirculantColoring(gf9, [squares, (4, 5, 7), (8,)])
+
+
 def test_dumps_golden_pentagon():
     assert dumps_coloring(pentagon()) == (
         "ramsey-coloring v1\n"

@@ -1,8 +1,13 @@
 """Field arithmetic, canonical moduli, and admissible order enumeration."""
 
+import random
+
 import pytest
 
+from ramseykit import field
+from ramseykit.cli import main
 from ramseykit.field import (
+    GALOIS_MAX_ORDER,
     FieldSpec,
     admissible_orders,
     canonical_modulus,
@@ -12,7 +17,15 @@ from ramseykit.field import (
     multiplicative_generator,
 )
 
-from helpers import multiplicative_order, trial_division_primes
+from helpers import (
+    multiplicative_order,
+    poly_add,
+    poly_inv,
+    poly_mul,
+    poly_neg,
+    poly_sub,
+    trial_division_primes,
+)
 
 
 def test_is_prime_matches_trial_division():
@@ -186,3 +199,99 @@ def test_element_encoding_round_trip():
         spec.coeffs(125)
     with pytest.raises(ValueError):
         spec.element([5, 0, 0])
+
+
+def _oracle_generator(spec):
+    """Least element whose powers, by polynomial multiplication, reach all
+    N - 1 nonzero elements."""
+    for g in range(2, spec.order):
+        x, order = g, 1
+        while x != 1:
+            x = poly_mul(spec, x, g)
+            order += 1
+        if order == spec.order - 1:
+            return g
+
+
+@pytest.mark.parametrize("spec", [s for s in _all_fields_up_to(256) if s.degree > 1], ids=str)
+def test_tables_match_polynomial_oracle_exhaustive(spec):
+    # every GF(p^k), k > 1, of order <= 256 (prime fields keep plain int
+    # arithmetic): each table operation against the digit/polynomial oracle
+    n = spec.order
+    assert multiplicative_generator(spec) == _oracle_generator(spec)
+    for a in range(n):
+        assert spec.neg(a) == poly_neg(spec, a)
+        if a:
+            assert spec.inv(a) == spec.pow(a, -1) == poly_inv(spec, a)
+        assert [spec.add(a, b) for b in range(n)] == [poly_add(spec, a, b) for b in range(n)]
+        assert [spec.sub(a, b) for b in range(n)] == [poly_sub(spec, a, b) for b in range(n)]
+        assert [spec.mul(a, b) for b in range(n)] == [poly_mul(spec, a, b) for b in range(n)]
+
+
+@pytest.mark.parametrize("p,k", [(2, 12), (3, 8), (5, 4), (13, 3), (47, 2)])
+def test_tables_match_polynomial_oracle_sampled(p, k):
+    # p = 47 > 36: digits are not characters of a base-p string
+    spec = make_field(p, k)
+    rng = random.Random(1000 * p + k)
+    elems = [0, 1, p - 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(1500)]
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        assert spec.add(a, b) == poly_add(spec, a, b)
+        assert spec.sub(a, b) == poly_sub(spec, a, b)
+        assert spec.mul(a, b) == poly_mul(spec, a, b)
+        assert spec.neg(a) == poly_neg(spec, a)
+        if a:
+            assert spec.inv(a) == poly_inv(spec, a)
+
+
+def test_galois_order_cap(capsys):
+    assert GALOIS_MAX_ORDER == 1 << 20
+    gf2 = make_field(2, 21)  # the field and its encoding exist above the cap
+    gf3 = make_field(3, 13)
+    assert (gf2.order, gf3.order) == (1 << 21, 3**13)
+    assert gf3.coeffs(gf3.element([1, 2])) == (1, 2) + (0,) * 11
+    for op in (lambda: gf2.mul(2, 3), lambda: gf2.inv(2), lambda: gf2.pow(2, 5),
+               lambda: multiplicative_generator(gf2), lambda: gf3.add(1, 1),
+               lambda: gf3.sub(1, 2), lambda: gf3.neg(1), lambda: gf3.mul(2, 3)):
+        with pytest.raises(ValueError, match=r"up to order 2\^20"):
+            op()
+    assert [s.order for s in admissible_orders(3, 1 << 22, 1 << 22)] == [1 << 22]
+    assert main(["primes", "--mod", "3", "--min", str(1 << 22), "--max", str(1 << 22)]) == 0
+    assert capsys.readouterr().out == f"{1 << 22}\n"
+    assert main(["search", "--galois", "2,22", "--mod", "3", "-t", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "up to order 2^20" in err
+
+
+def test_galois_order_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(field, "GALOIS_MAX_ORDER", 27)
+    field._galois_tables.cache_clear()
+    assert make_field(3, 3).mul(3, 9) == poly_mul(make_field(3, 3), 3, 9)
+    with pytest.raises(ValueError, match="arithmetic needs tables"):
+        make_field(2, 5).mul(2, 3)
+    field._galois_tables.cache_clear()
+
+
+def test_table_walk_is_checked(monkeypatch):
+    spec = make_field(2, 4)
+    build = field._galois_tables.__wrapped__  # past the cache
+    revisit = field._times_table(spec, 8)  # 8 has order 5 in GF(16)*
+    no_return = [0] + list(range(2, 16)) + [2]  # 1 -> 2 -> ... -> 15 -> 2
+    for table in (revisit, no_return):
+        monkeypatch.setattr(field, "_times_table", lambda s, g, table=table: table)
+        with pytest.raises(AssertionError, match="generator is wrong"):
+            build(spec)
+
+
+@pytest.mark.parametrize("spec", [make_field(2, 4), make_field(3, 8)], ids=str)
+def test_generator_powers_is_the_antilog_table(spec):
+    q = spec.order - 1
+    g = multiplicative_generator(spec)
+    powers = generator_powers(spec, g)
+    assert powers is generator_powers(spec, g)  # the table itself, not a copy
+    x = 1
+    for i in range(q):
+        assert powers[i] == x
+        x = poly_mul(spec, x, g)
+    h = spec.pow(g, 7)  # another generator (gcd(7, q) = 1): walked and checked
+    other = generator_powers(spec, h)
+    assert other is not powers and other == [powers[7 * i % q] for i in range(q)]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit import make_field, power_cosets
-from ramseykit.parallel import CHUNKS_PER_WORKER, _search_roots, ordered_search
+from ramseykit.parallel import CHUNKS_PER_WORKER, _search_roots, orbit_search, ordered_search
 
 from helpers import least_member, loop_search_roots, subset_witness
 
@@ -53,6 +53,17 @@ def test_kernel_matches_loop_oracle(rows, k, upper):
         rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
     roots = range(len(rows))
     assert _search_roots(rows, k, roots) == loop_search_roots(rows, k, roots)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs(), st.sampled_from([2, 3, 4]), st.booleans())
+def test_orbit_search_with_trivial_orbits_decides_existence(rows, k, upper):
+    # under the identity group every vertex is its own orbit: the orbit
+    # search finds a k-clique exactly when the search over every root does
+    if upper:
+        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+    hit, _ = orbit_search(rows, k, [(v, [v]) for v in range(len(rows))])
+    assert hit == (_search_roots(rows, k, range(len(rows)))[0] is not None)
 
 
 def test_kernel_on_triangle_free_dense_rows():

@@ -3,15 +3,18 @@
 import pytest
 
 from ramseykit import admissible_orders, build_cayley_coloring, find_mono_clique, make_field
+from ramseykit.parallel import _search_roots, orbit_search
 from ramseykit.residues import (
     NormalizedWitness,
+    _DiffRows,
+    anharmonic_orbits,
     find_normalized_clique,
     negation_closed,
     power_cosets,
     sieve,
 )
 
-from helpers import brute_has_mono_clique, subset_witness, translate_cosets
+from helpers import brute_has_mono_clique, plain_witness, subset_witness, translate_cosets
 from known_colorings import COLOR_CLASSES_241
 
 
@@ -176,19 +179,22 @@ def _oracle_cases():
 
 def test_walk_and_clique_search_match_oracles():
     # every admissible prime below 400 and ten Galois fields up to GF(2^10),
-    # m in {2, 3, 4}, t in 3..6: cosets, labels and least witnesses agree
-    # with the translate-and-sort cosets and the list-based subset search
-    searched = 0
+    # m in {2, 3, 4}, t in 3..7: cosets, labels and least witnesses agree
+    # with the translate-and-sort cosets, the list-based subset search and
+    # the ascending search over every root without orbit pruning
+    searched = bounds = 0
     for spec, m in _oracle_cases():
         part = power_cosets(spec, m)
         assert (part.cosets, part._labels) == translate_cosets(spec, m), (spec, m)
         if not negation_closed(part):
             continue
-        for t in range(3, 7):
+        for t in range(3, 8):
             w = find_normalized_clique(part, t)
-            assert (w and w.elements) == subset_witness(part, t), (spec, m, t)
+            expected = subset_witness(part, t)
+            assert (w and w.elements) == expected == plain_witness(part, t), (spec, m, t)
             searched += 1
-    assert searched == 416
+            bounds += expected is None
+    assert (searched, bounds) == (520, 213)
 
 
 def test_walk_self_check(monkeypatch, capsys):
@@ -229,3 +235,61 @@ def test_t3_reduces_to_sieve_nonempty():
 def test_rejects_t_below_3():
     with pytest.raises(ValueError):
         find_normalized_clique(power_cosets(make_field(13), 3), 2)
+
+
+def test_anharmonic_orbits_partition_the_sieve():
+    # orbits of <x -> 1 - x, x -> 1/x>: disjoint, covering, closed under both
+    # maps, rooted at their least index, in ascending order; -1, the fixed
+    # point of x -> 1/x, lies in one orbit with 2 and 1/2 whenever sieved
+    with_minus_one = 0
+    for spec, m in _oracle_cases():
+        part = power_cosets(spec, m)
+        if not negation_closed(part):
+            continue
+        sv = sieve(part)
+        orbits = anharmonic_orbits(spec, sv)
+        members = [i for _, orbit in orbits for i in orbit]
+        assert sorted(members) == list(range(len(sv))), (spec, m)
+        assert [root for root, _ in orbits] == sorted(min(o) for _, o in orbits)
+        for root, orbit in orbits:
+            values = {sv[i] for i in orbit}
+            assert root == min(orbit) and len(orbit) in (1, 2, 3, 6)
+            assert values == {spec.sub(1, x) for x in values} == {spec.inv(x) for x in values}
+        minus_one = spec.neg(1)
+        if minus_one in sv:
+            with_minus_one += 1
+            assert spec.inv(minus_one) == minus_one
+            orbit = next(o for _, o in orbits if sv.index(minus_one) in o)
+            assert {sv[i] for i in orbit} == {minus_one, spec.add(1, 1), spec.inv(spec.add(1, 1))}
+    assert with_minus_one > 0
+
+
+def test_anharmonic_orbits_prune_the_bound_proofs():
+    # one root per orbit, earlier orbits excluded: the proofs that no K_5
+    # (Z_241) and no K_8 (Z_2029) witness exists visit a sixth of the nodes
+    # of the search over every root
+    for p, t, orbits, pruned, plain in [(241, 5, 4, 4, 16), (2029, 8, 36, 1143, 6730)]:
+        part = power_cosets(make_field(p), 3)
+        sv = tuple(sieve(part))
+        rows = _DiffRows(part.field, part._labels, sv)
+        found = anharmonic_orbits(part.field, sv)
+        assert len(found) == orbits
+        assert orbit_search(rows, t - 2, found) == (False, pruned)
+        assert _search_roots(rows, t - 2, range(len(sv))) == (None, plain)
+        assert find_normalized_clique(part, t) is None
+
+
+def test_non_involution_map_stops_the_search(monkeypatch, capsys):
+    # x -> 1/(1 - x) has order 3: it permutes the sieved list but is not an
+    # involution, so the search must refuse to prune with it
+    from ramseykit import residues
+    from ramseykit.cli import main
+
+    monkeypatch.setattr(residues, "_reciprocal", lambda f, x: f.inv(f.sub(1, x)))
+    part = power_cosets(make_field(241), 3)
+    with pytest.raises(AssertionError, match="not an involution"):
+        find_normalized_clique(part, 5)
+    assert main(["search", "--mod", "3", "-t", "5", "--min", "241", "--max", "241"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error:")
