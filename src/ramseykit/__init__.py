@@ -45,6 +45,7 @@ from .construct import (
     chung_compose,
 )
 from .verify import (
+    ColorSearch,
     RamseyCertificate,
     VerificationReport,
     certify,
@@ -65,6 +66,6 @@ __all__ = [
     "load_coloring", "loads_coloring", "save_coloring",
     "CHUNG_PLAN", "BlockMap", "CompositionError",
     "CompositionInput", "bound_value", "chung_compose",
-    "RamseyCertificate", "VerificationReport", "certify", "find_mono_clique",
-    "read_certificate", "verify_witness",
+    "ColorSearch", "RamseyCertificate", "VerificationReport", "certify",
+    "find_mono_clique", "read_certificate", "verify_witness",
 ]

@@ -7,7 +7,9 @@ from ramseykit import (
     ExplicitColoring,
     chung_compose,
     dumps_coloring,
+    find_mono_clique,
     loads_coloring,
+    verify_witness,
 )
 
 from helpers import composed_color
@@ -84,3 +86,21 @@ def test_chung_compose_matches_per_edge_oracle(comp):
     expected = ExplicitColoring.from_function(
         3 * t.n + g.n, len(comp.targets) + 3, lambda u, v: composed_color(t, g, u, v))
     assert dumps_coloring(h) == dumps_coloring(expected)
+
+
+@settings(deadline=None, max_examples=60)
+@given(composition_inputs(), st.sampled_from([3, 4]))
+def test_copy_cycle_search_matches_the_full_scan(comp, k):
+    # composing plants the copy-cycle rotation, which the verifier must find
+    # and prove whatever T and G are; random inputs give hits in most colors
+    h = chung_compose(comp, validate=False)
+    targets = (k,) * h.num_colors
+    report = verify_witness(h, targets)
+    full = verify_witness(h, targets, symmetry=False)
+    assert report.cliques == full.cliques
+    hit_1 = report.cliques[0] is not None
+    assert [s.method for s in report.searches] == (
+        ["full"] + ["full" if hit_1 else "colour-orbit of 1"] * 2
+        + [f"vertex-orbits b={comp.t_witness.n}"] * (h.num_colors - 3))
+    for color in range(1, h.num_colors + 1):
+        assert find_mono_clique(h, color, k) == report.cliques[color - 1]

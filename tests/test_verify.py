@@ -1,6 +1,7 @@
 """Exhaustive clique search, reports, and certificates."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,14 @@ def gf16_cubic():
 def h50():
     """The composed witness of R(3,3,3,3) >= 51, an explicit coloring."""
     return chung_compose(CompositionInput(gf16_cubic(), ExplicitColoring(2, 1, b"\x01"), (3,)))
+
+
+def chain():
+    """The composition chain h50, h155, h481, h1493 (R(3;4) ... R(3;7))."""
+    h155 = chung_compose(CompositionInput(h50(), pentagon(), (3, 3)), validate=False)
+    h481 = chung_compose(CompositionInput(h155, gf16_cubic(), (3, 3, 3)), validate=False)
+    h1493 = chung_compose(CompositionInput(h481, h50(), (3, 3, 3, 3)), validate=False)
+    return h50(), h155, h481, h1493
 
 
 def test_pentagon_triangle_free():
@@ -144,7 +153,7 @@ def test_orbit_search_node_counts():
 
 def _orbit_sizes(col):
     return {c: [len(members) for _, members in o]
-            for c, o in verify._edge_orbits(col, None).items()}
+            for c, o in verify._edge_orbits(col)[1].items()}
 
 
 def test_merged_cosets_have_a_larger_multiplier_group():
@@ -190,7 +199,7 @@ def test_random_partitions_fall_back_to_small_orbits():
 def test_empty_color_class():
     field = make_field(13)
     col = CirculantColoring(field, [list(field.nonzero()), []])
-    assert verify._edge_orbits(col, None)[2] == []
+    assert verify._edge_orbits(col)[1][2] == []
     for k in (2, 3, 4):
         assert find_mono_clique(col, 1, k) == tuple(range(k))
         assert find_mono_clique(col, 2, k) is None
@@ -285,14 +294,91 @@ def test_worker_determinism(workers):
 
 
 def test_chain_verify_node_counts():
-    # the K3 kernel's need == 2 position walk visits exactly the nodes of the
-    # plain loop (h1493's rows cross 64 candidates at that level)
-    h155 = chung_compose(CompositionInput(h50(), pentagon(), (3, 3)), validate=False)
-    h481 = chung_compose(CompositionInput(h155, gf16_cubic(), (3, 3, 3)), validate=False)
-    h1493 = chung_compose(CompositionInput(h481, h50(), (3, 3, 3, 3)), validate=False)
-    assert verify_witness(h481, (3,) * 6).nodes == 2760
-    report = verify_witness(h1493, (3,) * 7, workers=2)
+    # the full scan (the independent referee): the K3 kernel's need == 2
+    # position walk visits exactly the nodes of the plain loop (h1493's rows
+    # cross 64 candidates at that level)
+    _, _, h481, h1493 = chain()
+    assert verify_witness(h481, (3,) * 6, symmetry=False).nodes == 2760
+    report = verify_witness(h1493, (3,) * 7, workers=2, symmetry=False)
     assert report.passed and report.nodes == 10124
+
+
+def _methods(report):
+    return tuple(s.method for s in report.searches)
+
+
+def test_chain_verifies_by_the_copy_cycle():
+    # every chain level proves its rotation (b = the input's vertex count):
+    # colors 2 and 3 follow from color 1's full scan, and each color >= 4 is
+    # searched from one root per vertex orbit; verdicts and cliques equal the
+    # full scan's
+    for h, b, nodes in zip(chain(), (16, 50, 155, 481), (56, 244, 948, 3496)):
+        targets = (3,) * h.num_colors
+        report = verify_witness(h, targets)
+        assert _methods(report) == (("full",) + ("colour-orbit of 1",) * 2
+                                    + (f"vertex-orbits b={b}",) * (h.num_colors - 3))
+        assert report.searches[1].nodes == report.searches[2].nodes == 0
+        assert report.passed and report.nodes == nodes
+        full = verify_witness(h, targets, symmetry=False)
+        assert report.cliques == full.cliques
+        assert _methods(full) == ("full",) * h.num_colors
+
+
+def test_report_methods_of_circulant_and_plain_explicit_colorings():
+    # circulant colorings take the edge orbits before any rotation guess
+    report = verify_witness(cubic(691), (6, 6, 6))
+    assert _methods(report) == ("edge-orbits d=3",) * 3
+    assert [s.nodes for s in report.searches] == [509, 462, 520]  # 1,491 in all
+    # an explicit coloring with no copy cycle: the full scan of every color
+    paley13 = paley(13).to_explicit()
+    assert verify._rotation(paley13) is None
+    report = verify_witness(paley13, (3, 14))
+    assert _methods(report) == ("full", "k > n")
+    assert report.cliques == ((0, 1, 4), None) and report.searches[1].nodes == 0
+    assert report.summary() == "color 1: K_3 at 0,1,4; color 2: no K_14"
+
+
+def test_recolored_edge_rejects_the_rotation():
+    # (0, 1) is the first edge of its colors, so pi changes with it; the
+    # later edges leave pi as it was and fail only the row comparison
+    h = h50()
+    for edge, new in product([(0, 1), (17, 40), (48, 49)], (1, 2, 4)):
+        if new == h.edge_color(*edge):
+            continue
+        broken = ExplicitColoring.from_function(
+            h.n, 4, lambda u, v: new if (u, v) == edge else h.edge_color(u, v))
+        assert verify._rotation(broken) is None
+        report = verify_witness(broken, (3, 3, 3, 3))
+        assert _methods(report) == ("full",) * 4
+        assert report.cliques == tuple(brute_mono_clique(broken, c, 3) for c in (1, 2, 3, 4))
+        assert report.cliques == verify_witness(broken, (3, 3, 3, 3), symmetry=False).cliques
+        with pytest.raises(ValueError, match="no verified copy-cycle rotation"):
+            verify_witness(broken, (3, 3, 3, 3), symmetry=True)
+
+
+def test_unequal_targets_keep_the_color_cycle_apart():
+    # colors 1, 2, 3 are isomorphic under the rotation, but a K4 target for
+    # color 2 is not a K3 target: each is searched on its own
+    h = h50()
+    for targets in [(3, 4, 3, 3), (2, 2, 2, 3), (4, 4, 4, 2)]:
+        report = verify_witness(h, targets)
+        full = verify_witness(h, targets, symmetry=False)
+        assert report.cliques == full.cliques
+        if len(set(targets[:3])) > 1:
+            assert _methods(report)[:3] == ("full",) * 3
+    # K2 in every color: the hit in color 1 is re-reported in colors 2 and 3
+    report = verify_witness(h, (2, 2, 2, 2))
+    assert _methods(report) == ("full",) * 3 + ("vertex-orbits b=16",)
+    assert report.cliques == verify_witness(h, (2, 2, 2, 2), symmetry=False).cliques
+
+
+def test_symmetry_true_on_a_composed_witness():
+    h = h50()
+    for color in (1, 2, 3, 4):
+        for k in (2, 3, 4):
+            assert find_mono_clique(h, color, k, symmetry=True) == \
+                find_mono_clique(h, color, k, symmetry=False)
+    assert verify_witness(h, (3, 3, 3, 3), symmetry=True).passed
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -303,7 +389,7 @@ def test_forced_worker_pool_agrees(workers, monkeypatch):
 
     paley13 = paley(13).to_explicit()
     cases = [(h50(), (3, 3, 3, 3)), (paley13, (3, 3)), (paley13, (5, 5))]
-    expected = [verify_witness(col, targets) for col, targets in cases]
+    expected = [verify_witness(col, targets, symmetry=False) for col, targets in cases]
     assert [r.cliques[0] for r in expected] == [None, (0, 1, 4), None]
 
     started = []
@@ -316,7 +402,7 @@ def test_forced_worker_pool_agrees(workers, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify, "MIN_ROOTS_PER_WORKER", 1)
     for (col, targets), want in zip(cases, expected):
-        got = verify_witness(col, targets, workers=workers)
+        got = verify_witness(col, targets, workers=workers, symmetry=False)
         assert (got.cliques, got.nodes) == (want.cliques, want.nodes)
     # one pool per color of every case: 4 + 2 + 2
     assert started == ([] if workers == 1 else [workers] * 8)
