@@ -47,8 +47,12 @@ plan.  ``VerificationReport.searches`` records each color's method.
   pi(m[u][v]) for all u, v: row u translated through pi must equal the
   slices [b:3b] + [:b] + [3b:] of row sigma u, one n-byte comparison a
   row (14 ms at 1493 vertices, 0.12 s at 4634).  A row that does not
-  match rejects it; when all match, pi is a bijection of 1..C.  Then sigma
-  maps each color-c clique to a color-pi(c) clique, so
+  match, or a pi that is not a bijection of 1..C, rejects it.  The
+  candidate is read off a few edges (0.2 ms at 1493 vertices); the proof,
+  which builds the n^2 matrix, runs only when a color's plan below would
+  use the rotation, so a search for one color of a pi-cycle, or of a
+  coloring whose candidate pi is no bijection, does not pay for it.  Once
+  proved, sigma maps each color-c clique to a color-pi(c) clique, so
   - the colors of one pi-cycle whose targets are all equal (1, 2 and 3 of
     a composed witness) are decided by a full scan of the least of them
     (method ``colour-orbit of <c>`` for the others, which are searched
@@ -87,11 +91,16 @@ _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
 
 # Fewest roots per worker process for a full scan; a scan gets
 # min(workers, n // MIN_ROOTS_PER_WORKER) workers and runs in-process at 1.
-# On 2 vCPUs the K3 verify of the 1493-vertex composed witness broke even
-# with 2 workers (0.56-0.62 s with 1, 0.58-0.62 s with 2), every smaller
-# chain level was slower with them (481 vertices: 0.08 s against 0.18 s),
-# and the 4634-vertex witness gained (`verify`: 10.1 / 10.9 s with 1,
-# 8.3 / 8.6 s with 2).
+# Measured on 2 vCPUs with full scans of every color (symmetry=False): the
+# K3 verify of the 1493-vertex composed witness broke even with 2 workers
+# (0.56-0.62 s with 1, 0.58-0.62 s with 2), every smaller chain level was
+# slower with them (481 vertices: 0.08 s against 0.18 s), and the
+# 4634-vertex witness gained (`verify`: 10.1 / 10.9 s with 1, 8.3 / 8.6 s
+# with 2).  With its copy cycle proved, only one color of that witness is
+# scanned in full, and `verify --threads 2` no longer gains (5.66 s
+# against 5.63 s).  So the pool pays only where a full scan of 2048 or more
+# vertices remains (symmetry=False, or an explicit coloring without a
+# proved rotation), and no benchmark workload runs one.
 MIN_ROOTS_PER_WORKER = 1024
 
 
@@ -133,53 +142,70 @@ def _edge_orbits(coloring: EdgeColoring) -> tuple[int, dict]:
     return d, {c: sorted(o) for c, o in orbits.items()}
 
 
-def _rotation(coloring: EdgeColoring) -> tuple[int, bytes] | None:
-    """(b, pi) for an explicit coloring whose copy-cycle candidate (see the
-    module docstring) is proved, pi as a bytes.translate table; else None."""
-    n = coloring.n
+def _copy_cycle(coloring: EdgeColoring) -> tuple[int, bytes] | None:
+    """The copy-cycle candidate (b, pi) of an explicit coloring (see the
+    module docstring), pi as a bytes.translate table, read off a few of its
+    edges; None when the leading run of the last row is too long."""
+    n, color = coloring.n, coloring.edge_color
     if n < 3:
         return None
-    m = coloring.matrix()
-    last = m[(n - 1) * n:]
-    b = n - len(last.lstrip(last[:1]))  # the leading run of the last row
+    first = color(0, n - 1)
+    b = next((u for u in range(1, n - 1) if color(u, n - 1) != first), n - 1)
     r = 3 * b
     if r > n:
         return None
-
-    def sigma(v):
-        return (v + b) % r if v < r else v
-
     pi = bytearray(range(256))
-    for c in range(1, coloring.num_colors + 1):
-        u, v = divmod(m.find(c), n)  # the first edge of color c, if any
-        if u >= 0:
-            pi[c] = m[sigma(u) * n + sigma(v)]
-    # Once every row matches, sigma permutes the edges and pi maps the
-    # colors present onto themselves, so pi is a bijection of 1..C.
-    pi = bytes(pi)
+    todo = set(range(1, coloring.num_colors + 1))
+    for u, row in enumerate(coloring.tri_rows()):  # the first edge of each color
+        for c in [c for c in todo if c in row]:
+            v = u + 1 + row.index(c)
+            pi[c] = color((u + b) % r if u < r else u, (v + b) % r if v < r else v)
+            todo.discard(c)
+        if not todo:
+            break
+    if sorted(pi[1:coloring.num_colors + 1]) != list(range(1, coloring.num_colors + 1)):
+        return None  # a proved sigma maps the colors present onto themselves
+    return b, bytes(pi)
+
+
+def _rotates(coloring: EdgeColoring, b: int, pi: bytes) -> bool:
+    """Whether sigma (rotate 0..3b-1 by b) maps every edge of color c to one
+    of color pi(c): row sigma(u), its slices [b:3b] + [:b] + [3b:], must be
+    row u translated through pi."""
+    n, r, m = coloring.n, 3 * b, coloring.matrix()
     for u in range(n):
-        s = sigma(u) * n
+        s = ((u + b) % r if u < r else u) * n
         row = m[s:s + n]
         if row[b:r] + row[:b] + row[r:] != m[u * n:(u + 1) * n].translate(pi):
-            return None
-    return b, pi
+            return False
+    return True
 
 
 def _plans(coloring: EdgeColoring, targets: dict[int, int],
            symmetry: bool | None) -> dict[int, _Plan]:
     """A search plan for each color in ``targets`` (color -> clique size)."""
+    full = dict.fromkeys(targets, _FULL)
     if symmetry is False:
-        return dict.fromkeys(targets, _FULL)
+        return full
     if coloring.is_circulant:
         d, orbits = _edge_orbits(coloring)
         return {c: _Plan(f"edge-orbits d={d}", orbits[c], (0,)) for c in targets}
-    rotation = _rotation(coloring)
-    if rotation is None:
+    candidate = _copy_cycle(coloring)
+    plans = full if candidate is None else _rotation_plans(coloring, targets, *candidate)
+    # the n^2 proof is paid only when a plan uses the rotation or it is demanded
+    if not symmetry and all(plan is _FULL for plan in plans.values()):
+        return full
+    if candidate is None or not _rotates(coloring, *candidate):
         if symmetry:
             raise ValueError("symmetry demanded, but the coloring is not circulant "
                              "and has no verified copy-cycle rotation")
-        return dict.fromkeys(targets, _FULL)
-    b, pi = rotation
+        return full
+    return plans
+
+
+def _rotation_plans(coloring: EdgeColoring, targets: dict[int, int], b: int,
+                    pi: bytes) -> dict[int, _Plan]:
+    """The plans that the copy cycle (b, pi), once proved, gives the targets."""
     vertex_orbits = _Plan(f"vertex-orbits b={b}",
                           [(i, [i, i + b, i + 2 * b]) for i in range(b)]
                           + [(v, [v]) for v in range(3 * b, coloring.n)])

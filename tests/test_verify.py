@@ -307,6 +307,11 @@ def _methods(report):
     return tuple(s.method for s in report.searches)
 
 
+def _proved(coloring):
+    candidate = verify._copy_cycle(coloring)
+    return candidate is not None and verify._rotates(coloring, *candidate)
+
+
 def test_chain_verifies_by_the_copy_cycle():
     # every chain level proves its rotation (b = the input's vertex count):
     # colors 2 and 3 follow from color 1's full scan, and each color >= 4 is
@@ -331,7 +336,7 @@ def test_report_methods_of_circulant_and_plain_explicit_colorings():
     assert [s.nodes for s in report.searches] == [509, 462, 520]  # 1,491 in all
     # an explicit coloring with no copy cycle: the full scan of every color
     paley13 = paley(13).to_explicit()
-    assert verify._rotation(paley13) is None
+    assert not _proved(paley13)
     report = verify_witness(paley13, (3, 14))
     assert _methods(report) == ("full", "k > n")
     assert report.cliques == ((0, 1, 4), None) and report.searches[1].nodes == 0
@@ -347,13 +352,30 @@ def test_recolored_edge_rejects_the_rotation():
             continue
         broken = ExplicitColoring.from_function(
             h.n, 4, lambda u, v: new if (u, v) == edge else h.edge_color(u, v))
-        assert verify._rotation(broken) is None
+        assert not _proved(broken)
+        if edge == (0, 1):  # pi is no bijection, so there is no candidate to prove
+            assert verify._copy_cycle(broken) is None
         report = verify_witness(broken, (3, 3, 3, 3))
         assert _methods(report) == ("full",) * 4
         assert report.cliques == tuple(brute_mono_clique(broken, c, 3) for c in (1, 2, 3, 4))
         assert report.cliques == verify_witness(broken, (3, 3, 3, 3), symmetry=False).cliques
         with pytest.raises(ValueError, match="no verified copy-cycle rotation"):
             verify_witness(broken, (3, 3, 3, 3), symmetry=True)
+
+
+def test_rotation_is_proved_only_when_a_plan_uses_it(monkeypatch):
+    proofs, rotates = [], verify._rotates
+    monkeypatch.setattr(verify, "_rotates",
+                        lambda col, b, pi: proofs.append(b) or rotates(col, b, pi))
+    h = h50()
+    # color 1 alone: its pi-cycle (1 2 3) has no other target, so the
+    # rotation could not prune it and is not proved
+    assert find_mono_clique(h, 1, 3) is None and proofs == []
+    assert verify_witness(h, (3, 3, 3, 3), symmetry=False).passed and proofs == []
+    # a color pi fixes is searched by vertex orbits, after the proof
+    assert find_mono_clique(h, 4, 3) is None and proofs == [16]
+    # a demanded symmetry is always proved
+    assert find_mono_clique(h, 1, 3, symmetry=True) is None and proofs == [16, 16]
 
 
 def test_unequal_targets_keep_the_color_cycle_apart():
