@@ -19,8 +19,18 @@ followed, for circulant colorings, by ``field=<p>[^<k> poly=<c0,...,ck>]``
 and one ``color <i>: d1 d2 ...`` line per color (ascending canonical
 encodings), or, for explicit colorings, by n-1 lines where line i lists
 the colors of the edges {i, i+1} .. {i, n-1} in canonical decimal (no sign,
-no leading zero; the reader accepts nothing else).  Writing is canonical,
-so a save/load round trip is byte exact.
+no leading zero; the reader accepts nothing else), separated by
+whitespace.  Writing is canonical (single spaces), so a save/load round
+trip is byte exact.
+
+Explicit rows are read and written as bytes where they can be.  The
+writer puts a row whose colors are all below 10 (every row of a composed
+witness) as digits at the even positions of a line of spaces.  The reader
+takes a row of k colors on that path when it is 2k - 1 ASCII characters
+with a space at every odd position and a digit 1..min(C, 9) at every even
+one.  Every other row goes through the token parser (colors of two or
+three digits, other spacing, malformed rows), so both paths accept the
+same files, build the same colorings and raise the same errors.
 """
 
 from __future__ import annotations
@@ -159,9 +169,9 @@ class ExplicitColoring(EdgeColoring):
         tri = bytes(tri)
         if len(tri) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} edge entries, got {len(tri)}")
-        for b in set(tri):
-            if not 1 <= b <= num_colors:
-                raise ValueError(f"color {b} out of range 1..{num_colors}")
+        bad = tri.translate(None, bytes(range(1, num_colors + 1)))
+        if bad:
+            raise ValueError(f"color {min(bad)} out of range 1..{num_colors}")
         self.n = n
         self.num_colors = num_colors
         self._tri = tri
@@ -234,6 +244,7 @@ _META_RE = re.compile(r"^n=(\d+) colors=(\d+) repr=(circulant|explicit)$")
 _FIELD_RE = re.compile(r"^field=(\d+)(?:\^(\d+) poly=(\d+(?:,\d+)*))?$")
 _TOKENS = [str(c) for c in range(256)]
 _TOKEN_VALUE = {t: c for c, t in enumerate(_TOKENS)}  # canonical decimal only
+_DIGIT_CHAR = b"0123456789" + bytes(246)  # color -> its digit, or 0 from 10 on
 
 
 def dumps_coloring(coloring: EdgeColoring) -> str:
@@ -250,9 +261,20 @@ def dumps_coloring(coloring: EdgeColoring) -> str:
         for i, s in enumerate(coloring.connection_sets, 1):
             lines.append(f"color {i}:" + "".join(f" {d}" for d in s))
     else:
-        token = _TOKENS.__getitem__
-        lines += [" ".join(map(token, row)) for row in coloring.tri_rows()]
+        rows = map(_row_line, coloring.tri_rows())
+        return b"\n".join([*map(str.encode, lines), *rows, b""]).decode("ascii")
     return "\n".join(lines) + "\n"
+
+
+def _row_line(row: bytes) -> bytes:
+    """The text line of one triangle row: the digits at the even positions
+    of a line of spaces, or, when a color is 10 or more, the joined tokens."""
+    digits = row.translate(_DIGIT_CHAR)
+    if 0 in digits:
+        return " ".join(map(_TOKENS.__getitem__, row)).encode("ascii")
+    line = bytearray(b" ") * (2 * len(row) - 1)
+    line[::2] = digits
+    return line
 
 
 def loads_coloring(text: str) -> EdgeColoring:
@@ -306,11 +328,23 @@ def _parse_circulant(n: int, num_colors: int, body: list[str]) -> CirculantColor
 def _parse_explicit(n: int, num_colors: int, body: list[str]) -> ExplicitColoring:
     if len(body) != n - 1:
         raise FormatError(f"expected {n - 1} row lines, got {len(body)}")
+    # digit -> color for the colors 1..min(C, 9); every other byte -> 0
+    digit_color = bytearray(256)
+    for c in range(1, min(num_colors, 9) + 1):
+        digit_color[ord("0") + c] = c
     rows = []
     for u, line in enumerate(body):
+        k = n - 1 - u
+        if len(line) == 2 * k - 1 and line.isascii():
+            # k colors at the even positions, so k - 1 spaces fill the odd ones
+            raw = line.encode("ascii")
+            row = raw[::2].translate(digit_color)
+            if 0 not in row and raw.count(b" ") == k - 1:
+                rows.append(row)
+                continue
         tokens = line.split()
-        if len(tokens) != n - 1 - u:
-            raise FormatError(f"row {u} should list {n - 1 - u} colors, got {len(tokens)}")
+        if len(tokens) != k:
+            raise FormatError(f"row {u} should list {k} colors, got {len(tokens)}")
         try:
             row = bytes(map(_TOKEN_VALUE.__getitem__, tokens))
         except KeyError as exc:

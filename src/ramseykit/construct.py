@@ -31,9 +31,8 @@ R(3,3,3,k_1,...,k_r) >= 3*(nT+1) + (nG+1) - 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import MAX_COLORS, MAX_VERTICES, EdgeColoring, ExplicitColoring
+from .records import record
 from . import verify as verify_mod
 
 
@@ -49,14 +48,11 @@ class CompositionError(ValueError):
             f"clique {','.join(map(str, clique))}")
 
 
-@dataclass(frozen=True)
-class BlockMap:
+class BlockMap(record("BlockMap", "diag color1 color2")):
     """How one block recolors T: a diagonal constant, images of colors 1
     and 2, and the uniform +1 shift for colors >= 3."""
 
-    diag: int
-    color1: int
-    color2: int
+    __slots__ = ()
 
     def apply(self, c: int) -> int:
         if c == 1:
@@ -80,32 +76,29 @@ CHUNG_PLAN = {
 }
 
 
-@dataclass(frozen=True)
-class CompositionInput:
+class CompositionInput(record("CompositionInput", "t_witness g_witness targets")):
     """A (3,3,k1,...,kr) witness T, a (k1,...,kr) witness G, and the targets."""
 
-    t_witness: EdgeColoring
-    g_witness: EdgeColoring
-    targets: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        targets = tuple(int(k) for k in self.targets)
-        object.__setattr__(self, "targets", targets)
+    def __new__(cls, t_witness: EdgeColoring, g_witness: EdgeColoring, targets):
+        targets = tuple(int(k) for k in targets)
         r = len(targets)
         if r < 1:
             raise ValueError("need at least one clique target")
         if any(k < 3 for k in targets):
             raise ValueError("clique targets must be >= 3")
-        if self.t_witness.num_colors != r + 2:
+        if t_witness.num_colors != r + 2:
             raise ValueError(
-                f"T must use {r + 2} colors for {r} targets, has {self.t_witness.num_colors}")
-        if self.g_witness.num_colors != r:
+                f"T must use {r + 2} colors for {r} targets, has {t_witness.num_colors}")
+        if g_witness.num_colors != r:
             raise ValueError(
-                f"G must use {r} colors for {r} targets, has {self.g_witness.num_colors}")
+                f"G must use {r} colors for {r} targets, has {g_witness.num_colors}")
         if r + 3 > MAX_COLORS:
             raise ValueError("composed coloring would exceed the color limit")
-        if 3 * self.t_witness.n + self.g_witness.n > MAX_VERTICES:
+        if 3 * t_witness.n + g_witness.n > MAX_VERTICES:
             raise ValueError("composed coloring would exceed the vertex limit")
+        return super().__new__(cls, t_witness, g_witness, targets)
 
 
 def chung_compose(comp: CompositionInput, validate: bool = True, *,

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import functools
 from array import array
-from dataclasses import dataclass
+
+from .records import record
 
 MAX_ORDER = 1 << 31
 # Largest GF(p^k), k > 1, with arithmetic: its tables take 42-49 bytes an
@@ -128,20 +129,17 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, None))):
     """A prime field Z_p (degree 1) or Galois field GF(p^k) (degree k > 1).
 
     ``modulus_poly`` holds the k+1 coefficients (constant term first) of a
     monic irreducible reduction polynomial; it must be None for degree 1.
+    No ``__slots__``: ``_tables`` is cached in the instance ``__dict__``.
     """
 
-    characteristic: int
-    degree: int = 1
-    modulus_poly: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        p, k = self.characteristic, self.degree
+    def __new__(cls, characteristic: int, degree: int = 1,
+                modulus_poly: tuple[int, ...] | None = None):
+        p, k, mp = characteristic, degree, modulus_poly
         if k < 1:
             raise ValueError("degree must be >= 1")
         if not is_prime(p):
@@ -149,10 +147,9 @@ class FieldSpec:
         if p**k > MAX_ORDER:
             raise ValueError(f"field order {p}^{k} exceeds supported range 2^31")
         if k == 1:
-            if self.modulus_poly is not None:
+            if mp is not None:
                 raise ValueError("prime fields take no modulus polynomial")
         else:
-            mp = self.modulus_poly
             if mp is None:
                 raise ValueError("degree > 1 requires a modulus polynomial")
             mp = tuple(int(c) for c in mp)
@@ -160,7 +157,10 @@ class FieldSpec:
                 raise ValueError("modulus must be monic of degree k with coefficients in [0, p)")
             if not _is_irreducible(mp, p):
                 raise ValueError(f"modulus polynomial {mp} is reducible over Z_{p}")
-            object.__setattr__(self, "modulus_poly", mp)
+        return super().__new__(cls, p, k, mp)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: FieldSpec is immutable")
 
     @property
     def order(self) -> int:

@@ -26,10 +26,9 @@ every root run, for the least witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .field import FieldSpec, generator_powers, multiplicative_generator
 from .parallel import _search_roots, orbit_search
+from .records import record
 
 _NO_LABEL = 255
 # Coset label -> "1" for the residues (label 0), "0" for the rest
@@ -122,26 +121,25 @@ def sieve(partition: CosetPartition) -> list[int]:
     return [r for r in partition.cosets[0] if r != 1 and labels[f.sub(r, 1)] == 0]
 
 
-@dataclass(frozen=True)
-class NormalizedWitness:
+class NormalizedWitness(record("NormalizedWitness", "t elements")):
     """A set {1, B1, ..., B_{t-2}} certifying a monochromatic K_t.
 
     Adding the vertex 0 gives a t-clique of the Cayley coloring whose
     pairwise differences all lie in the residue subgroup.
     """
 
-    t: int
-    elements: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t < 3:
+    def __new__(cls, t: int, elements: tuple[int, ...]):
+        if t < 3:
             raise ValueError("witness clique size must be >= 3")
-        if len(self.elements) != self.t - 1:
+        if len(elements) != t - 1:
             raise ValueError("witness must contain t - 1 elements")
-        if 1 not in self.elements:
+        if 1 not in elements:
             raise ValueError("witness must contain 1")
-        if len(set(self.elements)) != len(self.elements) or 0 in self.elements:
+        if len(set(elements)) != len(elements) or 0 in elements:
             raise ValueError("witness elements must be distinct and nonzero")
+        return super().__new__(cls, t, elements)
 
     def vertices(self) -> tuple[int, ...]:
         """The monochromatic clique this witness describes."""

@@ -79,12 +79,12 @@ one process would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .coloring import EdgeColoring, FormatError, coloring_digest
 from .field import generator_powers, multiplicative_generator
 from .parallel import _search_roots, orbit_search, ordered_search
+from .records import record
 
 CERT_HEADER = "ramsey-certificate v1"
 _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
@@ -113,14 +113,13 @@ def _recheck_clique(coloring: EdgeColoring, color: int, clique) -> None:
                     f"reported clique {clique} fails recheck on edge ({u}, {v})")
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """How to search one color."""
+class _Plan(record("_Plan", "method orbits prefix leader", (None, (), None))):
+    """How to search one color: ``method`` as reported in
+    ``ColorSearch.method``; ``orbits`` for ``parallel.orbit_search`` (None:
+    a full scan); ``prefix``, the vertices every orbit-searched clique
+    holds; ``leader``, the color whose miss proves this one's."""
 
-    method: str  # as reported in ColorSearch.method
-    orbits: list | None = None  # for parallel.orbit_search; None: a full scan
-    prefix: tuple[int, ...] = ()  # vertices every orbit-searched clique holds
-    leader: int | None = None  # the color whose miss proves this one's
+    __slots__ = ()
 
 
 _FULL = _Plan("full")
@@ -265,23 +264,20 @@ def find_mono_clique(coloring: EdgeColoring, color: int, k: int, *,
     return _find(coloring, color, k, plan, workers)[0]
 
 
-@dataclass(frozen=True)
-class ColorSearch:
+class ColorSearch(record("ColorSearch", "method nodes")):
     """How one color was decided: the method (``full``, ``edge-orbits
     d=<d>``, ``vertex-orbits b=<b>``, ``colour-orbit of <c>``, or ``k > n``
     when the clique cannot fit) and the search nodes visited."""
 
-    method: str
-    nodes: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Per-color outcome of checking a coloring against clique targets."""
+class VerificationReport(record("VerificationReport", "targets cliques searches")):
+    """Per-color outcome of checking a coloring against clique targets:
+    the targets, per color the least clique found or None, and per color
+    its ``ColorSearch``."""
 
-    targets: tuple[int, ...]
-    cliques: tuple[tuple[int, ...] | None, ...]
-    searches: tuple[ColorSearch, ...]
+    __slots__ = ()
 
     @property
     def nodes(self) -> int:
@@ -330,20 +326,16 @@ def verify_witness(coloring: EdgeColoring, targets, *, symmetry: bool | None = N
     return VerificationReport(targets, tuple(cliques), tuple(searches))
 
 
-@dataclass(frozen=True)
-class RamseyCertificate:
+class RamseyCertificate(record("RamseyCertificate",
+                               "targets n passed coloring_sha clique_color clique",
+                               (None, None))):
     """Re-checkable record tying a verification verdict to a coloring digest.
 
     A passing certificate for targets (k1, ..., kC) on n vertices asserts
     R(k1, ..., kC) >= n + 1.
     """
 
-    targets: tuple[int, ...]
-    n: int
-    passed: bool
-    coloring_sha: str
-    clique_color: int | None = None
-    clique: tuple[int, ...] | None = None
+    __slots__ = ()
 
     @property
     def bound(self) -> int | None:
@@ -383,7 +375,12 @@ def certify(coloring: EdgeColoring, targets, out=None, *, symmetry: bool | None 
 
 def read_certificate(source) -> RamseyCertificate:
     """Parse a certificate file back into a RamseyCertificate."""
-    lines = Path(source).read_text(encoding="ascii").splitlines()
+    try:
+        lines = Path(source).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError("certificate files are ASCII text") from exc
+    except OSError as exc:
+        raise FormatError(f"cannot read {source}: {exc}") from exc
     if not lines or lines[0] != CERT_HEADER:
         raise FormatError(f"missing or unsupported certificate header "
                           f"(expected {CERT_HEADER!r})")

@@ -233,3 +233,49 @@ def plain_witness(partition, t):
     rows = _DiffRows(partition.field, partition._labels, sv)
     found, _ = _search_roots(rows, need, range(len(sv) - need + 1))
     return None if found is None else (1,) + tuple(sv[i] for i in found)
+
+
+# The explicit-row codec as the coloring module had it before its byte path
+# (one token per color, split on any whitespace): the reference for both
+# paths of ``dumps_coloring`` and ``loads_coloring``.
+
+_TOKENS = [str(c) for c in range(256)]
+_TOKEN_VALUE = {t: c for c, t in enumerate(_TOKENS)}
+
+
+def token_dumps(coloring):
+    """The canonical text of an explicit coloring, row by row in tokens."""
+    lines = ["ramsey-coloring v1",
+             f"n={coloring.n} colors={coloring.num_colors} repr=explicit"]
+    lines += [" ".join(map(_TOKENS.__getitem__, row)) for row in coloring.tri_rows()]
+    return "\n".join(lines) + "\n"
+
+
+def token_loads(text):
+    """The explicit coloring that ``text`` holds, by the token parser alone;
+    malformed rows raise FormatError with the package's messages."""
+    from ramseykit.coloring import ExplicitColoring, FormatError
+
+    lines = text.splitlines()
+    n, num_colors = (int(f.split("=")[1]) for f in lines[1].split()[:2])
+    body = lines[2:]
+    if len(body) != n - 1:
+        raise FormatError(f"expected {n - 1} row lines, got {len(body)}")
+    rows = []
+    for u, line in enumerate(body):
+        tokens = line.split()
+        if len(tokens) != n - 1 - u:
+            raise FormatError(f"row {u} should list {n - 1 - u} colors, got {len(tokens)}")
+        try:
+            row = bytes(map(_TOKEN_VALUE.__getitem__, tokens))
+        except KeyError as exc:
+            raise FormatError(f"row {u}: color {exc.args[0]!r} is not an integer "
+                              f"0..255 in canonical decimal") from None
+        lo, hi = min(row), max(row)
+        if lo < 1 or hi > num_colors:
+            raise FormatError(f"color out of range: {lo if lo < 1 else hi}")
+        rows.append(row)
+    try:
+        return ExplicitColoring(n, num_colors, b"".join(rows))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc

@@ -310,9 +310,10 @@ def test_crashed_worker_exits_3(tmp_path, capsys, monkeypatch):
 def test_import_loads_no_pool_or_hashlib():
     # a command that starts no worker and takes no digest pays for neither
     src = Path(__file__).resolve().parent.parent / "src"
+    # nor for dataclasses, which imports inspect, ast and dis
     script = ("import sys, ramseykit.cli\n"
-              "print([m for m in ('multiprocessing', 'concurrent.futures', 'hashlib')"
-              " if m in sys.modules])")
+              "print([m for m in ('multiprocessing', 'concurrent.futures', 'hashlib',"
+              " 'dataclasses', 'inspect') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,10 +1,12 @@
 """Property tests: the byte-row fast paths against per-edge oracles."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ramseykit import (
     CompositionInput,
     ExplicitColoring,
+    FormatError,
     chung_compose,
     dumps_coloring,
     find_mono_clique,
@@ -12,7 +14,7 @@ from ramseykit import (
     verify_witness,
 )
 
-from helpers import composed_color
+from helpers import composed_color, token_dumps, token_loads
 
 
 @st.composite
@@ -68,6 +70,66 @@ def test_dumps_loads_dumps_byte_exact(col):
     loaded = loads_coloring(text)
     assert dumps_coloring(loaded) == text
     assert loaded.matrix() == col.matrix()
+
+
+@settings(deadline=None)
+@given(explicit_colorings(max_n=40))
+@example(single_vertex)
+@example(single_edge_color_12)
+def test_codec_matches_the_token_codec(col):
+    # with up to 12 colors, rows holding a color >= 10 take the token path
+    # and the others the byte path, often in one file
+    text = dumps_coloring(col)
+    assert text == token_dumps(col)
+    loaded = loads_coloring(text)
+    assert (loaded.n, loaded.num_colors, loaded._tri) == (col.n, col.num_colors, col._tri)
+    assert dumps_coloring(loaded) == text
+
+
+def _perturb(line, kind, i, num_colors):
+    """Row ``line`` with one change of the given kind at token or gap i."""
+    tokens = line.split(" ")
+    i %= len(tokens)
+    gap = min(i, len(tokens) - 2)  # the gap after token i, if there is one
+    if kind == "trailing space":
+        return line + " "
+    if kind in ("doubled space", "tab", "digit in a gap", "no-break space") and gap >= 0:
+        sep = {"doubled space": "  ", "tab": "\t", "digit in a gap": "1",
+               "no-break space": "\u00a0"}[kind]
+        return " ".join(tokens[:gap + 1]) + sep + " ".join(tokens[gap + 1:])
+    if kind == "missing token":
+        return " ".join(tokens[:i] + tokens[i + 1:])
+    tokens[i] = {"leading zero": "0" + tokens[i], "zero": "0",
+                 "above C": str(num_colors + 1), "non-ASCII digit": "\u0661",
+                 "non-ASCII letter": tokens[i] + "\u00e9"}.get(kind, tokens[i])
+    return " ".join(tokens)
+
+
+_PERTURBATIONS = ["doubled space", "tab", "digit in a gap", "trailing space",
+                  "leading zero", "zero", "above C", "missing token", "no-break space",
+                  "non-ASCII digit", "non-ASCII letter"]
+
+
+@settings(deadline=None)
+@given(explicit_colorings(max_n=40), st.data())
+def test_perturbed_rows_parse_as_the_token_parser(col, data):
+    # the same coloring or the same FormatError message as the token parser
+    lines = dumps_coloring(col).split("\n")
+    for _ in range(data.draw(st.integers(1, 3)) if col.n > 1 else 0):
+        u = data.draw(st.integers(2, col.n))
+        kind = data.draw(st.sampled_from(_PERTURBATIONS))
+        lines[u] = _perturb(lines[u], kind, data.draw(st.integers(0, 40)), col.num_colors)
+    text = "\n".join(lines)
+    try:
+        expected = token_loads(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            loads_coloring(text)
+        assert str(got.value) == str(exc)
+    else:
+        loaded = loads_coloring(text)
+        assert (loaded.n, loaded.num_colors, loaded._tri) == (
+            expected.n, expected.num_colors, expected._tri)
 
 
 @st.composite

@@ -521,15 +521,18 @@ _BAD_CERTIFICATES = {
     "repeated clique vertex": "clique=1:0,1,1",
     "clique vertex above n-1": "clique=1:0,1,5",
     "negative clique vertex": "clique=1:-1,1,2",
+    "non-ASCII byte": _PASS.replace("coloring-sha=0", "coloring-sha=\u00e9"),
+    "missing file": None,
 }
 
 
 @pytest.mark.parametrize("body", list(_BAD_CERTIFICATES.values()),
                          ids=list(_BAD_CERTIFICATES))
 def test_read_certificate_rejects(tmp_path, body):
-    if body.startswith("clique="):
-        body = f"targets=3,3\nn=5\nverdict=fail\n{body}\ncoloring-sha=0\n"
     path = tmp_path / "bad.cert"
-    path.write_text("ramsey-certificate v1\n" + body)
+    if body is not None:
+        if body.startswith("clique="):
+            body = f"targets=3,3\nn=5\nverdict=fail\n{body}\ncoloring-sha=0\n"
+        path.write_bytes(("ramsey-certificate v1\n" + body).encode("utf-8"))
     with pytest.raises(FormatError):
         read_certificate(path)
