@@ -1,4 +1,4 @@
-"""Edge colorings of complete graphs, circulant or explicit, plus file I/O.
+r"""Edge colorings of complete graphs, circulant or explicit, plus file I/O.
 
 A coloring assigns one of the colors 1..C to every edge of K_n.  Two
 representations are supported:
@@ -9,6 +9,8 @@ representations are supported:
   symmetric).
 * explicit: one byte per edge in a flat upper-triangular buffer, read as rows
   through ``ExplicitColoring.tri_rows`` and ``ExplicitColoring.matrix``.
+  The clique search reads ``ExplicitColoring.rows_above``, built row by
+  row from the triangle, with no n^2 buffer.
 
 The text file format is line oriented and version tagged::
 
@@ -23,14 +25,28 @@ no leading zero; the reader accepts nothing else), separated by
 whitespace.  Writing is canonical (single spaces), so a save/load round
 trip is byte exact.
 
-Explicit rows are read and written as bytes where they can be.  The
-writer puts a row whose colors are all below 10 (every row of a composed
-witness) as digits at the even positions of a line of spaces.  The reader
-takes a row of k colors on that path when it is 2k - 1 ASCII characters
-with a space at every odd position and a digit 1..min(C, 9) at every even
-one.  Every other row goes through the token parser (colors of two or
-three digits, other spacing, malformed rows), so both paths accept the
-same files, build the same colorings and raise the same errors.
+One generator yields the canonical text as ASCII byte lines;
+``dumps_coloring`` joins them, ``save_coloring`` writes them and
+``coloring_digest`` hashes them, so none of the three holds the whole text
+of a large explicit coloring.  The writer puts a row whose colors are all
+below 10 (every row of a composed witness) as digits at the even
+positions of a line of spaces.
+
+``load_coloring`` reads the file's bytes once, rejects any non-ASCII byte
+before anything else, and walks the lines by offset, decoding one line at
+a time; the lines split where ``str.splitlines`` would split the text
+(``\n``, ``\r``, ``\r\n``, ``\x0b``, ``\x0c``, ``\x1c`` to ``\x1e``).  The
+rows are appended to one growing triangle, and the file's bytes are
+released after the last line, so the load holds the file and one
+triangle, never a decoded copy or a list of lines.  ``loads_coloring``
+feeds ``str.splitlines`` to the same parser.  The parser takes a row of k
+colors as bytes when it is 2k - 1 ASCII characters with a space at every
+odd position and a digit 1..min(C, 9) at every even one.  Every other row
+goes through the token parser (colors of two or three digits, other
+spacing, malformed rows), so both paths accept the same files, build the
+same colorings and raise the same errors.  A wrong number of row lines is
+reported before a malformed row, so the parser reads to the last line
+before it raises a row's error.
 """
 
 from __future__ import annotations
@@ -215,14 +231,31 @@ class ExplicitColoring(EdgeColoring):
 
     def neighbor_rows(self, color: int) -> list[int]:
         self._check_color(color)
-        bits = bytearray(b"0" * 256)
-        bits[color] = ord("1")
-        n, m = self.n, self.matrix(bits)
+        n, m = self.n, self.matrix(_color_bits(color))
         # reversed so that column v lands on bit v
         return [int(m[u * n:(u + 1) * n][::-1], 2) for u in range(n)]
 
+    def rows_above(self, color: int) -> list[int]:
+        """Per-vertex bitmasks of one color class above the vertex: bit v of
+        row u is set iff v > u and {u, v} has that color.  Row u comes from
+        triangle row u alone, so no n^2 buffer is built."""
+        self._check_color(color)
+        bits = _color_bits(color)
+        # reversed so that the edge {u, v} lands on bit v - u - 1, then shifted
+        rows = [int(row.translate(bits)[::-1], 2) << (u + 1)
+                for u, row in enumerate(self.tri_rows())]
+        rows.append(0)  # the last vertex has none above it
+        return rows
+
     def to_explicit(self) -> "ExplicitColoring":
         return self
+
+
+def _color_bits(color: int) -> bytes:
+    """A bytes.translate table taking ``color`` to "1" and every other byte to "0"."""
+    bits = bytearray(b"0" * 256)
+    bits[color] = ord("1")
+    return bytes(bits)
 
 
 def build_cayley_coloring(partition: CosetPartition) -> CirculantColoring:
@@ -245,53 +278,83 @@ _FIELD_RE = re.compile(r"^field=(\d+)(?:\^(\d+) poly=(\d+(?:,\d+)*))?$")
 _TOKENS = [str(c) for c in range(256)]
 _TOKEN_VALUE = {t: c for c, t in enumerate(_TOKENS)}  # canonical decimal only
 _DIGIT_CHAR = b"0123456789" + bytes(246)  # color -> its digit, or 0 from 10 on
+# the ASCII line breaks of str.splitlines besides "\n" ("\r\n" is one break)
+_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+_TO_NEWLINE = bytes.maketrans(_OTHER_BREAKS, b"\n" * len(_OTHER_BREAKS))
 
 
-def dumps_coloring(coloring: EdgeColoring) -> str:
-    """Canonical text form of a coloring (the unit the digest is taken over)."""
+def _canonical_lines(coloring: EdgeColoring):
+    """The canonical text of a coloring as ASCII byte lines, each ending in
+    its newline: what ``dumps_coloring`` joins, ``save_coloring`` writes and
+    ``coloring_digest`` hashes."""
     kind = "circulant" if coloring.is_circulant else "explicit"
-    lines = [HEADER, f"n={coloring.n} colors={coloring.num_colors} repr={kind}"]
+    head = [HEADER, f"n={coloring.n} colors={coloring.num_colors} repr={kind}"]
     if coloring.is_circulant:
         f = coloring.field
         if f.degree == 1:
-            lines.append(f"field={f.characteristic}")
+            head.append(f"field={f.characteristic}")
         else:
             poly = ",".join(str(c) for c in f.modulus_poly)
-            lines.append(f"field={f.characteristic}^{f.degree} poly={poly}")
-        for i, s in enumerate(coloring.connection_sets, 1):
-            lines.append(f"color {i}:" + "".join(f" {d}" for d in s))
-    else:
-        rows = map(_row_line, coloring.tri_rows())
-        return b"\n".join([*map(str.encode, lines), *rows, b""]).decode("ascii")
-    return "\n".join(lines) + "\n"
+            head.append(f"field={f.characteristic}^{f.degree} poly={poly}")
+        head += [f"color {i}:" + "".join(f" {d}" for d in s)
+                 for i, s in enumerate(coloring.connection_sets, 1)]
+    for line in head:
+        yield f"{line}\n".encode("ascii")
+    if not coloring.is_circulant:
+        yield from map(_row_line, coloring.tri_rows())
 
 
 def _row_line(row: bytes) -> bytes:
     """The text line of one triangle row: the digits at the even positions
-    of a line of spaces, or, when a color is 10 or more, the joined tokens."""
+    of a line of spaces ended by its newline, or, when a color is 10 or
+    more, the joined tokens."""
     digits = row.translate(_DIGIT_CHAR)
     if 0 in digits:
-        return " ".join(map(_TOKENS.__getitem__, row)).encode("ascii")
-    line = bytearray(b" ") * (2 * len(row) - 1)
+        return (" ".join(map(_TOKENS.__getitem__, row)) + "\n").encode("ascii")
+    line = bytearray(b" ") * (2 * len(row))
     line[::2] = digits
+    line[-1] = ord("\n")
     return line
 
 
+def dumps_coloring(coloring: EdgeColoring) -> str:
+    """Canonical text form of a coloring (the unit the digest is taken over)."""
+    return b"".join(_canonical_lines(coloring)).decode("ascii")
+
+
 def loads_coloring(text: str) -> EdgeColoring:
-    lines = text.splitlines()
-    if not lines or lines[0] != HEADER:
+    return _parse(iter(text.splitlines()))
+
+
+def _ascii_lines(raw: bytes):
+    """The lines of ASCII text, decoded one at a time, split wherever
+    ``str.splitlines`` splits the decoded text."""
+    if any(c in raw for c in _OTHER_BREAKS):  # rare: a copy with every break "\n"
+        raw = raw.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
+    start, end = 0, len(raw)
+    while start < end:
+        stop = raw.find(b"\n", start)
+        if stop < 0:
+            stop = end
+        yield raw[start:stop].decode("ascii")
+        start = stop + 1
+
+
+def _parse(lines) -> EdgeColoring:
+    """The coloring that an iterator of text lines holds."""
+    if next(lines, None) != HEADER:
         raise FormatError(f"missing or unsupported header (expected {HEADER!r})")
-    if len(lines) < 2:
+    size = next(lines, None)
+    if size is None:
         raise FormatError("truncated file: no size line")
-    meta = _META_RE.match(lines[1])
+    meta = _META_RE.match(size)
     if not meta:
-        raise FormatError(f"malformed size line: {lines[1]!r}")
+        raise FormatError(f"malformed size line: {size!r}")
     n, num_colors, kind = int(meta.group(1)), int(meta.group(2)), meta.group(3)
-    body = lines[2:]
     try:
         if kind == "circulant":
-            return _parse_circulant(n, num_colors, body)
-        return _parse_explicit(n, num_colors, body)
+            return _parse_circulant(n, num_colors, list(lines))
+        return _parse_explicit(n, num_colors, lines)
     except FormatError:
         raise
     except ValueError as exc:
@@ -325,40 +388,55 @@ def _parse_circulant(n: int, num_colors: int, body: list[str]) -> CirculantColor
     return CirculantColoring(spec, sets)
 
 
-def _parse_explicit(n: int, num_colors: int, body: list[str]) -> ExplicitColoring:
-    if len(body) != n - 1:
-        raise FormatError(f"expected {n - 1} row lines, got {len(body)}")
+def _parse_explicit(n: int, num_colors: int, lines) -> ExplicitColoring:
     # digit -> color for the colors 1..min(C, 9); every other byte -> 0
     digit_color = bytearray(256)
     for c in range(1, min(num_colors, 9) + 1):
         digit_color[ord("0") + c] = c
-    rows = []
-    for u, line in enumerate(body):
-        k = n - 1 - u
-        if len(line) == 2 * k - 1 and line.isascii():
-            # k colors at the even positions, so k - 1 spaces fill the odd ones
-            raw = line.encode("ascii")
-            row = raw[::2].translate(digit_color)
-            if 0 not in row and raw.count(b" ") == k - 1:
-                rows.append(row)
-                continue
-        tokens = line.split()
-        if len(tokens) != k:
-            raise FormatError(f"row {u} should list {k} colors, got {len(tokens)}")
-        try:
-            row = bytes(map(_TOKEN_VALUE.__getitem__, tokens))
-        except KeyError as exc:
-            raise FormatError(f"row {u}: color {exc.args[0]!r} is not an integer "
-                              f"0..255 in canonical decimal") from None
-        lo, hi = min(row), max(row)
-        if lo < 1 or hi > num_colors:
-            raise FormatError(f"color out of range: {lo if lo < 1 else hi}")
-        rows.append(row)
-    return ExplicitColoring(n, num_colors, b"".join(rows))
+    # One growing triangle: a list of row objects fragments the heap (max RSS
+    # 56 against 46 MB verifying the 4634-vertex witness), and a triangle
+    # allocated up front would trust the header's n before the rows are read.
+    tri, fault, got = bytearray(), None, 0
+    for got, line in enumerate(lines, 1):
+        k = n - got  # row got - 1 lists the colors of its edges to the k vertices above
+        if k > 0 and fault is None:
+            try:
+                tri += _parse_row(got - 1, line, k, num_colors, digit_color)
+            except FormatError as exc:
+                fault = exc  # raised once the row count is known to be right
+    if got != n - 1:
+        raise FormatError(f"expected {n - 1} row lines, got {got}")
+    if fault is not None:
+        raise fault
+    return ExplicitColoring(n, num_colors, tri)
+
+
+def _parse_row(u: int, line: str, k: int, num_colors: int, digit_color) -> bytes:
+    """The k colors of row u's line: as bytes when they are digits, else
+    token by token."""
+    if len(line) == 2 * k - 1 and line.isascii():
+        # k colors at the even positions, so k - 1 spaces fill the odd ones
+        raw = line.encode("ascii")
+        row = raw[::2].translate(digit_color)
+        if 0 not in row and raw.count(b" ") == k - 1:
+            return row
+    tokens = line.split()
+    if len(tokens) != k:
+        raise FormatError(f"row {u} should list {k} colors, got {len(tokens)}")
+    try:
+        row = bytes(map(_TOKEN_VALUE.__getitem__, tokens))
+    except KeyError as exc:
+        raise FormatError(f"row {u}: color {exc.args[0]!r} is not an integer "
+                          f"0..255 in canonical decimal") from None
+    lo, hi = min(row), max(row)
+    if lo < 1 or hi > num_colors:
+        raise FormatError(f"color out of range: {lo if lo < 1 else hi}")
+    return row
 
 
 def save_coloring(coloring: EdgeColoring, destination) -> None:
-    Path(destination).write_bytes(dumps_coloring(coloring).encode("ascii"))
+    with open(destination, "wb") as out:
+        out.writelines(_canonical_lines(coloring))
 
 
 def load_coloring(source) -> EdgeColoring:
@@ -366,14 +444,18 @@ def load_coloring(source) -> EdgeColoring:
         raw = Path(source).read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {source}: {exc}") from exc
-    try:
-        return loads_coloring(raw.decode("ascii"))
-    except UnicodeDecodeError as exc:
-        raise FormatError("coloring files are ASCII text") from exc
+    if not raw.isascii():
+        raise FormatError("coloring files are ASCII text")
+    lines = _ascii_lines(raw)
+    del raw  # the line source alone holds the file, and drops it after the last line
+    return _parse(lines)
 
 
 def coloring_digest(coloring: EdgeColoring) -> str:
     """SHA-256 of the canonical file bytes; ties certificates to colorings."""
     from hashlib import sha256  # most commands never take a digest
 
-    return sha256(dumps_coloring(coloring).encode("ascii")).hexdigest()
+    digest = sha256()
+    for line in _canonical_lines(coloring):
+        digest.update(line)
+    return digest.hexdigest()

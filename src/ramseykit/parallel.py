@@ -5,8 +5,26 @@ finds the least k-clique whose minimum vertex is one of the given roots,
 and ``orbit_search`` decides whether any k-clique exists by searching one
 vertex per orbit of a symmetry group.  ``verify`` runs both on a coloring's
 neighbour rows, ``residues`` on the difference rows of the sieved residue
-list.  The rows are symmetric, or (``residues``) hold only the bits above
-their own vertex.
+list.
+
+Which bits of a row the kernel reads.  The rows are either symmetric (bit
+v of row u iff bit u of row v) or hold only the bits above their own
+vertex (``residues``, and explicit colorings in ``verify``), and both give
+the same cliques and node counts wherever the kernel reads only bits above
+the row's vertex:
+
+* ``_search_roots`` masks each root's row above the root;
+* the loop in ``_dfs`` takes the least candidate v out of the set, and so
+  everything below v, before it reads v's row;
+* the need == 2 position walk reads whole rows, but the first candidate v
+  that hits has no partner u < v in the set (v is in row u, so u would
+  have hit first), so its hit and every earlier miss are the same either
+  way;
+* ``orbit_search`` reads the row of each orbit's least member s against
+  the set left after the earlier orbits, which is above s when those
+  orbits hold every vertex below s (the vertex orbits of ``verify``).  A
+  candidate set below s, as in an edge orbit of a circulant coloring
+  (prefix 0 and s), needs symmetric rows.
 
 The last level before a clique is complete (two vertices still needed) is
 the hot one on the large K3 searches of composed witnesses.  There a dense

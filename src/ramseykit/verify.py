@@ -6,7 +6,15 @@ every clique it reports is re-checked pairwise before being returned.
 
 Candidate sets are int bitmasks (bit v = vertex v), searched by the
 kernel in ``parallel`` in static ascending vertex order with the usual
-branch-and-bound prune on |candidates| < vertices still needed.
+branch-and-bound prune on |candidates| < vertices still needed.  A
+circulant coloring gives the kernel its symmetric neighbour rows
+(``neighbor_rows``, built on first use), because an edge orbit's
+candidates lie below the orbit's least member too.  An explicit coloring
+gives it the rows above each vertex (``ExplicitColoring.rows_above``,
+bit v of row u only for v > u), built from the triangle without an n^2
+matrix: its full scans and vertex-orbit searches read no bit below a
+row's own vertex (see ``parallel``), so the cliques and node counts are
+those of the symmetric rows.
 
 Symmetry.  Before searching, the verifier looks for a symmetry of the
 coloring, proves it from the coloring's own data, and turns it into one
@@ -224,7 +232,9 @@ def _rotation_plans(coloring: EdgeColoring, targets: dict[int, int], b: int,
 
 def _find(coloring: EdgeColoring, color: int, k: int, plan: _Plan,
           workers: int) -> tuple[tuple[int, ...] | None, int]:
-    rows = coloring.neighbor_rows(color)
+    # the rows above each vertex, except for edge orbits (module docstring)
+    rows = (coloring.neighbor_rows(color) if coloring.is_circulant
+            else coloring.rows_above(color))
     nodes = 0
     if plan.orbits is not None:
         hit, nodes = orbit_search(rows, k, plan.orbits, plan.prefix)
@@ -398,6 +408,9 @@ def read_certificate(source) -> RamseyCertificate:
         if fields["verdict"] not in ("pass", "fail"):
             raise ValueError(f"verdict {fields['verdict']!r} is neither pass nor fail")
         passed = fields["verdict"] == "pass"
+        if ("bound" in fields) != passed or ("clique" in fields) == passed:
+            raise ValueError("a pass needs a bound line and no clique line, "
+                             "a fail a clique line and no bound line")
         clique_color = clique = None
         if not passed:
             color_part, _, verts = fields["clique"].partition(":")
@@ -408,7 +421,10 @@ def read_certificate(source) -> RamseyCertificate:
                     and all(0 <= v < n for v in clique)):
                 raise ValueError(f"clique {fields['clique']} is not a K_k of its color's "
                                  f"target k on distinct vertices 0..{n - 1}")
-        return RamseyCertificate(targets, n, passed, fields["coloring-sha"],
+        cert = RamseyCertificate(targets, n, passed, fields["coloring-sha"],
                                  clique_color=clique_color, clique=clique)
+        if passed and fields["bound"] != cert.statement():
+            raise ValueError(f"bound {fields['bound']} is not {cert.statement()}")
+        return cert
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed certificate: {exc}") from exc

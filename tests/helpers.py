@@ -279,3 +279,36 @@ def token_loads(text):
         return ExplicitColoring(n, num_colors, b"".join(rows))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def full_row_find(coloring, color, k, symmetry=None):
+    """Least k-clique of one color and the search nodes, as the verifier
+    found them on the symmetric neighbour rows of an explicit coloring,
+    before it searched the rows above each vertex: the same plan, searched
+    on ``neighbor_rows``."""
+    from ramseykit import verify
+    from ramseykit.parallel import _search_roots, orbit_search
+
+    plan = verify._plans(coloring, {color: k}, symmetry)[color]
+    rows = coloring.neighbor_rows(color)
+    nodes = 0
+    if plan.orbits is not None:
+        hit, nodes = orbit_search(rows, k, plan.orbits, plan.prefix)
+        if not hit:
+            return None, nodes
+    clique, scan_nodes = _search_roots(rows, k, plan.prefix or range(coloring.n))
+    return clique, nodes + scan_nodes
+
+
+def whole_text_load(path):
+    """``load_coloring`` as it read explicit files before it walked their
+    lines: the whole file read, checked for ASCII, decoded, split by
+    ``str.splitlines`` and parsed by the token parser."""
+    from pathlib import Path
+
+    from ramseykit.coloring import FormatError
+
+    raw = Path(path).read_bytes()
+    if not raw.isascii():
+        raise FormatError("coloring files are ASCII text")
+    return token_loads(raw.decode("ascii"))

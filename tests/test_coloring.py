@@ -218,3 +218,34 @@ def test_single_edge_coloring_round_trip():
     text = dumps_coloring(k2)
     assert text == "ramsey-coloring v1\nn=2 colors=1 repr=explicit\n1\n"
     assert loads_coloring(text).edge_color(0, 1) == 1
+
+
+def _traced_peak(fn):
+    """Peak bytes of Python allocations during one call, after a warm-up
+    call (first-use imports and caches are not counted)."""
+    import tracemalloc
+
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_explicit_file_io_holds_no_copy_of_the_text(tmp_path):
+    # the canonical lines are hashed and written one at a time, and the
+    # loader holds the file's bytes and one triangle (the text of a composed
+    # witness is about twice its triangle): no decoded text, no line list
+    from test_verify import chain
+
+    h481 = chain()[2]
+    path = tmp_path / "h481.col"
+    save_coloring(h481, path)
+    size = path.stat().st_size
+    assert size > 200_000
+    assert _traced_peak(lambda: coloring_digest(h481)) < 64 * 1024
+    assert _traced_peak(lambda: save_coloring(h481, path)) < 64 * 1024
+    assert _traced_peak(lambda: load_coloring(path)) < 2.5 * size
+    assert load_coloring(path)._tri == h481._tri

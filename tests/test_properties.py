@@ -1,7 +1,9 @@
 """Property tests: the byte-row fast paths against per-edge oracles."""
 
+import random
+
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ramseykit import (
     CompositionInput,
@@ -10,11 +12,12 @@ from ramseykit import (
     chung_compose,
     dumps_coloring,
     find_mono_clique,
+    load_coloring,
     loads_coloring,
     verify_witness,
 )
 
-from helpers import composed_color, token_dumps, token_loads
+from helpers import composed_color, full_row_find, token_dumps, token_loads, whole_text_load
 
 
 @st.composite
@@ -59,6 +62,18 @@ def test_neighbor_rows_match_edge_color(col):
             expected = sum(1 << v for v in range(col.n)
                            if v != u and col.edge_color(u, v) == color)
             assert rows[u] == expected
+
+
+@settings(deadline=None)
+@given(explicit_colorings())
+@example(single_vertex)
+@example(single_edge_color_12)
+def test_rows_above_are_the_neighbor_rows_above_each_vertex(col):
+    for color in range(1, col.num_colors + 1):
+        full, above = col.neighbor_rows(color), col.rows_above(color)
+        assert len(above) == col.n
+        for u in range(col.n):
+            assert above[u] == (full[u] >> (u + 1)) << (u + 1)
 
 
 @settings(deadline=None)
@@ -132,6 +147,81 @@ def test_perturbed_rows_parse_as_the_token_parser(col, data):
             expected.n, expected.num_colors, expected._tri)
 
 
+_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+_LINE_CHANGES = ["line break", "line break in a row", "unit separator in a row",
+                 "no final newline", "extra blank line", "truncated last row",
+                 "non-ASCII after a malformed first row"]
+
+
+def _change_lines(text, kind, i, brk):
+    """``text`` with one change of its line structure, placed by i: the
+    line break ``brk`` for a newline or for a gap in a row, a unit
+    separator (white space, no line break) in a gap, an extra blank line,
+    no final newline, a truncated last row, or a malformed first row and a
+    non-ASCII character in the last."""
+    lines = text.splitlines(keepends=True)
+    if len(lines) < 3:  # no rows to change
+        return text
+    first_row = len(lines[0]) + len(lines[1])
+    newlines = [j for j, ch in enumerate(text) if ch == "\n" and j >= first_row - 1]
+    gaps = [j for j in range(first_row, len(text)) if text[j] == " "]
+    last = lines[-1].splitlines()[0]  # the last line without its break
+    if kind == "line break" and newlines:
+        j = newlines[i % len(newlines)]
+        return text[:j] + brk + text[j + 1:]
+    if kind in ("line break in a row", "unit separator in a row") and gaps:
+        j = gaps[i % len(gaps)]
+        return text[:j] + (brk if kind == "line break in a row" else "\x1f") + text[j + 1:]
+    if kind == "extra blank line" and newlines:
+        j = newlines[i % len(newlines)]
+        return text[:j] + "\n" + text[j:]
+    if kind == "no final newline":
+        lines[-1] = last
+    elif kind == "truncated last row":
+        lines[-1] = last[:i % (len(last) + 1)] + "\n"
+    elif kind == "non-ASCII after a malformed first row":
+        lines[-1] = last + "\u00e9" + lines[-1][len(last):]
+        lines[2] = "0 " + lines[2]
+    return "".join(lines)
+
+
+def _load_as_the_whole_text(path):
+    """The same coloring or the same FormatError message as the load of the
+    whole decoded text."""
+    try:
+        expected = whole_text_load(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            load_coloring(path)
+        assert str(got.value) == str(exc)
+    else:
+        loaded = load_coloring(path)
+        assert (loaded.n, loaded.num_colors, loaded._tri) == (
+            expected.n, expected.num_colors, expected._tri)
+
+
+@settings(deadline=None)
+@given(explicit_colorings(max_n=20), st.data())
+def test_load_coloring_matches_the_whole_text_load(tmp_path_factory, col, data):
+    text = dumps_coloring(col)
+    for _ in range(data.draw(st.integers(0, 3))):
+        text = _change_lines(text, data.draw(st.sampled_from(_LINE_CHANGES)),
+                             data.draw(st.integers(0, 500)), data.draw(st.sampled_from(_BREAKS)))
+    path = tmp_path_factory.getbasetemp() / "changed.col"
+    path.write_bytes(text.encode("utf-8"))
+    _load_as_the_whole_text(path)
+
+
+@pytest.mark.parametrize("kind", _LINE_CHANGES)
+def test_each_line_change_loads_as_the_whole_text(tmp_path, kind):
+    col = ExplicitColoring.from_function(12, 11, lambda u, v: (3 * u + 5 * v) % 11 + 1)
+    path = tmp_path / "changed.col"
+    for brk in _BREAKS:
+        for i in (0, 7, 40):
+            path.write_bytes(_change_lines(dumps_coloring(col), kind, i, brk).encode("utf-8"))
+            _load_as_the_whole_text(path)
+
+
 @st.composite
 def composition_inputs(draw):
     r = draw(st.integers(1, 3))
@@ -166,3 +256,41 @@ def test_copy_cycle_search_matches_the_full_scan(comp, k):
         + [f"vertex-orbits b={comp.t_witness.n}"] * (h.num_colors - 3))
     for color in range(1, h.num_colors + 1):
         assert find_mono_clique(h, color, k) == report.cliques[color - 1]
+
+
+# color 4's only triangle lies in the G part, where the vertex orbits are
+# single vertices
+g_part_triangle = chung_compose(CompositionInput(
+    ExplicitColoring(2, 3, b"\x03"), ExplicitColoring(3, 1, b"\x01\x01\x01"), (3,)),
+    validate=False)
+
+
+@st.composite
+def dense_colorings(draw):
+    """Two colors on 140..170 vertices: color 1 a random bipartite graph
+    (no triangle) of density about 0.45, color 2 the rest, so the K3 search
+    of either color walks candidate sets of 64 or more by position."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(140, 170))
+    side = [rng.random() < 0.5 for _ in range(n)]
+    return ExplicitColoring.from_function(
+        n, 2, lambda u, v: 1 if side[u] != side[v] and rng.random() < 0.9 else 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(explicit_colorings(), dense_colorings(),
+                 composition_inputs().map(lambda comp: chung_compose(comp, validate=False))),
+       st.integers(2, 4), st.sampled_from([None, False]))
+@example(g_part_triangle, 3, None)
+def test_search_on_rows_above_matches_the_full_rows(col, k, symmetry):
+    # the same clique and the same nodes as the search on the symmetric rows,
+    # in find_mono_clique and in each color's ColorSearch
+    assume(k <= col.n)
+    for color in range(1, col.num_colors + 1):
+        clique, nodes = full_row_find(col, color, k, symmetry)
+        assert find_mono_clique(col, color, k, symmetry=symmetry) == clique
+        targets = [col.n + 1] * col.num_colors  # only this color is searched
+        targets[color - 1] = k
+        report = verify_witness(col, targets, symmetry=symmetry)
+        assert report.cliques[color - 1] == clique
+        assert report.searches[color - 1].nodes == nodes

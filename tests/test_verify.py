@@ -522,6 +522,10 @@ _BAD_CERTIFICATES = {
     "clique vertex above n-1": "clique=1:0,1,5",
     "negative clique vertex": "clique=1:-1,1,2",
     "non-ASCII byte": _PASS.replace("coloring-sha=0", "coloring-sha=\u00e9"),
+    "bound of another statement": _PASS.replace("R(3,3)>=6", "R(9,9)>=1000"),
+    "pass without bound": _PASS.replace("bound=R(3,3)>=6\n", ""),
+    "fail with bound": "clique=1:0,1,2\nbound=R(3,3)>=6",
+    "pass with clique": _PASS + "clique=1:0,1,2\n",
     "missing file": None,
 }
 
