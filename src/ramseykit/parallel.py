@@ -16,6 +16,9 @@ the row's vertex:
 * ``_search_roots`` masks each root's row above the root;
 * the loop in ``_dfs`` takes the least candidate v out of the set, and so
   everything below v, before it reads v's row;
+* the need == 2 OR test reads whole rows, but an edge {v, w} of the
+  candidates, v < w, is bit w of row v in both kinds, so the candidates
+  hold an edge iff ``cand & OR(rows[v] for v in cand)`` is not zero;
 * the need == 2 position walk reads whole rows, but the first candidate v
   that hits has no partner u < v in the set (v is in row u, so u would
   have hit first), so its hit and every earlier miss are the same either
@@ -26,10 +29,22 @@ the row's vertex:
   candidate set below s, as in an edge orbit of a circulant coloring
   (prefix 0 and s), needs symmetric rows.
 
+No row holds its own vertex's bit; the OR test and the walk rely on it.
+
 The last level before a clique is complete (two vertices still needed) is
-the hot one on the large K3 searches of composed witnesses.  There a dense
-candidate set is walked by string position, one big-int AND per candidate,
-instead of peeling its least bit in a loop of five big-int operations.
+the hot one on the K3 searches of composed witnesses, whose candidate sets
+there are dense.  For ``_DENSE`` or more candidates on rows in a ``list``
+(explicit rows, and every full scan), one OR of the candidates' rows in C
+(``reduce`` over ``compress``; San Segundo et al., An exact bit-parallel
+algorithm for the maximum clique problem, 2011) decides the node, and a
+miss, the usual answer, ends it.  On a hit, and on rows built on first use
+(a ``dict`` with ``__missing__``: ``residues``, circulant ``verify``), the
+set is walked by string position up to the least edge, one big-int AND per
+candidate.  The OR would build every candidate's row, the walk only those
+the plain loop reads (``search --galois 3,8 --mod 2 -t 7`` took
+0.33-0.44 s in-process with the OR on such rows, 0.04-0.05 s without).
+Node counts are those of the plain loop, which peels the least candidate
+bit in five big-int operations, either way.
 
 ``ordered_search(search, args, items, workers)`` runs ``search(*args, items)``
 over consecutive chunks of ``items``; each call returns a tuple whose ``[0]``
@@ -42,14 +57,24 @@ the first one starts, so a command that never starts one never loads
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import or_
+
 # Chunks per worker.  More chunks let a hit in an early chunk cancel more of
 # the later work; fewer keep the per-chunk round trips cheap.
 CHUNKS_PER_WORKER = 8
 
-# Fewest candidates for the position walk at need == 2.  Below it the loop
-# wins: enumerating positions at every level, sparse sets included, made the
-# K6 search of the Z_691 colouring 2.4x slower.
-_DENSE = 64
+# Fewest candidates for the need == 2 shortcuts: the OR test on built rows
+# and the position walk.  Per need == 2 node of a K3 full scan of colour 1
+# (2 vCPU, CPython 3.11.7), loop against OR test: h1493 at 8-15 candidates
+# 10.2 / 9.9 us, at 16-31 21.1 / 13.6 us, at 32-63 40.0 / 19.1 us; h4634
+# at 16-31 34.2 / 21.3 us.  The Z_691 K6 scan has no set of 16 or more (its
+# 8-15 sets cost 5.3 us by the loop, 15.5 us by the test), so it runs as
+# before; so does any search whose candidate sets stay sparse.
+_DENSE = 16
+
+_ONES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" digits to false/true bytes
 
 _job = None  # (search, args) in a worker process, set by _init_worker
 
@@ -57,19 +82,23 @@ _job = None  # (search, args) in a worker process, set by _init_worker
 def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
     stats[0] += 1
     if need == 2 and cand.bit_count() >= _DENSE:
+        low = (cand & -cand).bit_length() - 1
+        bits = bin(cand >> low)[:1:-1]  # bits[i] == "1" iff low + i is a candidate
+        if type(rows) is list and not cand & reduce(  # built rows: one OR in C
+                or_, compress(rows[low:], bits.encode().translate(_ONES)), 0):
+            return None  # no candidate has a neighbour among the candidates
         # The first candidate v with a neighbour in cand, paired with its
         # least one, is the least edge: a partner u < v of v in cand would
         # have been found at u.  The top candidate has no partner above it.
-        bits = bin(cand)[:1:-1]  # bits[v] == "1" iff v is a candidate
         top = len(bits) - 1
-        v = bits.find("1", 0, top)
-        while v >= 0:
-            hit = cand & rows[v]
+        i = 0  # the least candidate
+        while i >= 0:
+            hit = cand & rows[low + i]
             if hit:
                 stats[0] += 1  # the need == 1 node that the loop below visits
-                prefix += (v, (hit & -hit).bit_length() - 1)
+                prefix += (low + i, (hit & -hit).bit_length() - 1)
                 return prefix
-            v = bits.find("1", v + 1, top)
+            i = bits.find("1", i + 1, top)
         return None
     while cand:
         if cand.bit_count() < need:

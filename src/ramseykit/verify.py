@@ -99,16 +99,15 @@ _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
 
 # Fewest roots per worker process for a full scan; a scan gets
 # min(workers, n // MIN_ROOTS_PER_WORKER) workers and runs in-process at 1.
-# Measured on 2 vCPUs with full scans of every color (symmetry=False): the
-# K3 verify of the 1493-vertex composed witness broke even with 2 workers
-# (0.56-0.62 s with 1, 0.58-0.62 s with 2), every smaller chain level was
-# slower with them (481 vertices: 0.08 s against 0.18 s), and the
-# 4634-vertex witness gained (`verify`: 10.1 / 10.9 s with 1, 8.3 / 8.6 s
-# with 2).  With its copy cycle proved, only one color of that witness is
-# scanned in full, and `verify --threads 2` no longer gains (5.66 s
-# against 5.63 s).  So the pool pays only where a full scan of 2048 or more
-# vertices remains (symmetry=False, or an explicit coloring without a
-# proved rotation), and no benchmark workload runs one.
+# Measured on 2 vCPUs (CPython 3.11.7) with the kernel's need == 2 OR test:
+# the full scan of every color of the 4634-vertex composed witness
+# (symmetry=False) still gains, 3.22 / 3.35 s with 1 worker against
+# 2.48 / 2.24 s with 2, and it is the only measured case that does.
+# `verify -i h4634.col`, whose copy cycle leaves one color to scan in full,
+# took 1.93-2.06 s with --threads 1 and 2.02-2.37 s with --threads 2, and
+# the 1493-vertex witness broke even with 2 workers already before the OR
+# test (0.56-0.62 s against 0.58-0.62 s; 481 vertices: 0.08 s against
+# 0.18 s).  No benchmark workload starts a pool.
 MIN_ROOTS_PER_WORKER = 1024
 
 
@@ -370,13 +369,17 @@ class RamseyCertificate(record("RamseyCertificate",
 
 def certify(coloring: EdgeColoring, targets, out=None, *, symmetry: bool | None = None,
             workers: int = 1) -> RamseyCertificate:
-    """Verify a coloring and (optionally) write the certificate file."""
+    """Verify a coloring and (optionally) write the certificate file.
+
+    The coloring is hashed only for a file: without ``out`` the verdict is
+    decided alone and ``coloring_sha`` is None."""
     report = verify_witness(coloring, targets, symmetry=symmetry, workers=workers)
+    sha = None if out is None else coloring_digest(coloring)
     if report.passed:
-        cert = RamseyCertificate(report.targets, coloring.n, True, coloring_digest(coloring))
+        cert = RamseyCertificate(report.targets, coloring.n, True, sha)
     else:
         color = next(i for i, c in enumerate(report.cliques, 1) if c is not None)
-        cert = RamseyCertificate(report.targets, coloring.n, False, coloring_digest(coloring),
+        cert = RamseyCertificate(report.targets, coloring.n, False, sha,
                                  clique_color=color, clique=report.cliques[color - 1])
     if out is not None:
         Path(out).write_text(cert.to_text(), encoding="ascii")

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ramseykit import load_coloring, read_certificate
+from ramseykit import (CompositionInput, ExplicitColoring, build_cayley_coloring,
+                       chung_compose, load_coloring, make_field, power_cosets,
+                       read_certificate, save_coloring)
 from ramseykit.cli import main
 
 
@@ -317,3 +319,20 @@ def test_import_loads_no_pool_or_hashlib():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_verify_without_cert_takes_no_digest(tmp_path):
+    # no certificate is written, so the verdict is decided without hashing
+    # the file: hashlib (and OpenSSL with it) is never imported
+    t = build_cayley_coloring(power_cosets(make_field(2, 4), 3))
+    path = tmp_path / "h50.col"
+    save_coloring(chung_compose(CompositionInput(t, ExplicitColoring(2, 1, b"\x01"), (3,))),
+                  path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys\nfrom ramseykit.cli import main\n"
+              f"code = main(['verify', '-i', {str(path)!r}, '--targets', '3,3,3,3'])\n"
+              "print(code, 'hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "PASS R(3,3,3,3)>=51\n0 False\n", "")

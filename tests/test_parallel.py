@@ -1,6 +1,7 @@
 """The clique kernel against a plain oracle, and the ordered-chunk parallel
 search: least hit, chunk order, spawned workers."""
 
+import itertools
 import json
 import os
 import random
@@ -11,19 +12,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseykit import make_field, power_cosets
-from ramseykit.parallel import CHUNKS_PER_WORKER, _search_roots, orbit_search, ordered_search
+from ramseykit import make_field, parallel, power_cosets
+from ramseykit.parallel import (CHUNKS_PER_WORKER, _DENSE, _search_roots, orbit_search,
+                                ordered_search)
 
 from helpers import least_member, loop_search_roots, subset_witness
 
 
 @st.composite
 def graphs(draw):
-    """Neighbour rows of a random graph on 70-200 vertices, so that candidate
-    sets cross the 64 bits of the kernel's position walk: G(n, p), or a
-    random bipartite graph (triangle-free) with unequal parts and a few
-    edges added inside them, so that a walk misses many candidates before
-    it finds the least triangle."""
+    """Neighbour rows of a random graph on 70-200 vertices, so that the
+    need == 2 candidate sets of one search fall on both sides of the
+    kernel's ``_DENSE``: G(n, p), or a random bipartite graph
+    (triangle-free) with unequal parts and a few edges added inside them,
+    so that the OR test misses many sets and a walk misses many candidates
+    before it finds the least triangle."""
     n = draw(st.integers(70, 200))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
@@ -78,6 +81,82 @@ def test_kernel_on_triangle_free_dense_rows():
     rows[170] |= 1 << 151
     assert _search_roots(rows, 3, range(n)) == loop_search_roots(rows, 3, range(n)) \
         == ((0, 151, 170), 2)
+
+
+class _BuiltOnFirstUse(dict):
+    """Rows built on first use, as ``residues._DiffRows`` and
+    ``coloring._CirculantRows`` build them; ``built`` lists the rows built,
+    in order."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows, self.built = rows, []
+
+    def __missing__(self, v):
+        self.built.append(v)
+        row = self[v] = self.rows[v]
+        return row
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs(), st.sampled_from([3, 4]), st.booleans())
+def test_lazy_rows_build_only_what_the_walk_reads(rows, k, upper):
+    # the OR test would build every candidate's row; on lazily built rows
+    # the kernel reads the rows the plain loop reads, and no others
+    if upper:
+        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+    roots = range(len(rows))
+    lazy, oracle = _BuiltOnFirstUse(rows), _BuiltOnFirstUse(rows)
+    assert _search_roots(lazy, k, roots) == _search_roots(rows, k, roots) \
+        == loop_search_roots(oracle, k, roots)
+    assert lazy.built == oracle.built
+
+
+def _counting_compress(monkeypatch):
+    calls = []
+
+    def compress(data, selectors):
+        calls.append(1)
+        return itertools.compress(data, selectors)
+
+    monkeypatch.setattr(parallel, "compress", compress)
+    return calls
+
+
+@pytest.mark.parametrize("upper", [False, True])
+def test_or_test_misses_every_root_of_a_triangle_free_graph(monkeypatch, upper):
+    # the bipartite graph of even against odd vertices: the candidates above
+    # each root are one parity, none adjacent, so the OR test answers every
+    # dense set with a miss, one node a root
+    n = 200
+    rows = [sum(1 << w for w in range(n) if (v + w) % 2) for v in range(n)]
+    if upper:
+        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+    calls = _counting_compress(monkeypatch)
+    roots = range(n)
+    assert _search_roots(rows, 3, roots) == loop_search_roots(rows, 3, roots) \
+        == (None, n - 3)  # root r has (n - r) // 2 candidates
+    assert len(calls) == sum((n - r) // 2 >= _DENSE for r in roots) > 150
+
+
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("low", [1, 17, 39])
+def test_only_triangle_through_the_top_candidate(monkeypatch, low, upper):
+    # vertex 0 sees 1..40 and the one other edge is {low, 40}: the dense set
+    # of root 0 holds one edge, through its top candidate, whose own row
+    # holds no candidate when it keeps only the bits above its vertex
+    n, top = 60, 40
+    rows = [0] * n
+    for u, v in [(0, w) for w in range(1, top + 1)] + [(low, top)]:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if upper:
+        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+    calls = _counting_compress(monkeypatch)
+    assert _search_roots(rows, 3, range(n)) == loop_search_roots(rows, 3, range(n)) \
+        == ((0, low, top), 2)
+    assert len(calls) == 1
+
 
 ITEMS = range(100)
 

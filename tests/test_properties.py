@@ -269,7 +269,8 @@ g_part_triangle = chung_compose(CompositionInput(
 def dense_colorings(draw):
     """Two colors on 140..170 vertices: color 1 a random bipartite graph
     (no triangle) of density about 0.45, color 2 the rest, so the K3 search
-    of either color walks candidate sets of 64 or more by position."""
+    of either color meets candidate sets of ``parallel._DENSE`` or more
+    at need == 2, decided by the OR test and the position walk."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = draw(st.integers(140, 170))
     side = [rng.random() < 0.5 for _ in range(n)]

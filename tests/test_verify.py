@@ -294,9 +294,9 @@ def test_worker_determinism(workers):
 
 
 def test_chain_verify_node_counts():
-    # the full scan (the independent referee): the K3 kernel's need == 2
-    # position walk visits exactly the nodes of the plain loop (h1493's rows
-    # cross 64 candidates at that level)
+    # the full scan (the independent referee): the K3 kernel's need == 2 OR
+    # test and position walk visit exactly the nodes of the plain loop
+    # (h1493's candidate sets at that level reach hundreds)
     _, _, h481, h1493 = chain()
     assert verify_witness(h481, (3,) * 6, symmetry=False).nodes == 2760
     report = verify_witness(h1493, (3,) * 7, workers=2, symmetry=False)
