@@ -32,14 +32,16 @@ of a large explicit coloring.  The writer puts a row whose colors are all
 below 10 (every row of a composed witness) as digits at the even
 positions of a line of spaces.
 
-``load_coloring`` reads the file's bytes once, rejects any non-ASCII byte
-before anything else, and walks the lines by offset, decoding one line at
-a time; the lines split where ``str.splitlines`` would split the text
-(``\n``, ``\r``, ``\r\n``, ``\x0b``, ``\x0c``, ``\x1c`` to ``\x1e``).  The
-rows are appended to one growing triangle, and the file's bytes are
-released after the last line, so the load holds the file and one
-triangle, never a decoded copy or a list of lines.  ``loads_coloring``
-feeds ``str.splitlines`` to the same parser.  The parser takes a row of k
+``load_coloring`` reads the file in chunks of 16 KiB, checks each chunk
+for ASCII and walks its lines by offset, decoding one line at a time; the
+lines split where ``str.splitlines`` would split the text (``\n``, ``\r``,
+``\r\n``, also when its two bytes fall in two chunks, ``\x0b``, ``\x0c``,
+``\x1c`` to ``\x1e``).  A non-ASCII byte anywhere is the error reported,
+before any other fault: after another fault the rest of the file is read
+for it.  The rows are appended to one growing triangle, which the coloring
+adopts without a copy, so the load holds one chunk, one line and the
+triangle, never the file, a decoded copy or a list of lines.
+``loads_coloring`` feeds ``str.splitlines`` to the same parser.  The parser takes a row of k
 colors as bytes when it is 2k - 1 ASCII characters with a space at every
 odd position and a digit 1..min(C, 9) at every even one.  Every other row
 goes through the token parser (colors of two or three digits, other
@@ -52,7 +54,6 @@ before it raises a row's error.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 from .field import FieldSpec
 from .residues import CosetPartition, negation_closed
@@ -60,6 +61,10 @@ from .residues import CosetPartition, negation_closed
 HEADER = "ramsey-coloring v1"
 MAX_VERTICES = 1 << 15
 MAX_COLORS = 255
+# bytes that load_coloring reads at a time: as fast as 64 KiB on the 21.5 MB
+# file of the 4634-vertex witness, and small beside the triangle of a 481-vertex one
+_CHUNK = 1 << 14
+_BLOCK = 1 << 12  # triangle bytes whose colors are checked at a time
 
 
 class FormatError(ValueError):
@@ -177,15 +182,21 @@ class _CirculantRows(dict):
 class ExplicitColoring(EdgeColoring):
     """Upper-triangular byte array of edge colors."""
 
-    def __init__(self, n: int, num_colors: int, tri):
+    def __init__(self, n: int, num_colors: int, tri, *, _adopt: bool = False):
+        # _adopt: ``tri`` is a bytearray that nothing else holds (the loader's,
+        # compose's), taken as the triangle itself instead of copied
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}]")
         if not 1 <= num_colors <= MAX_COLORS:
             raise ValueError(f"need between 1 and {MAX_COLORS} colors")
-        tri = bytes(tri)
+        if not _adopt:
+            tri = bytes(tri)
         if len(tri) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} edge entries, got {len(tri)}")
-        bad = tri.translate(None, bytes(range(1, num_colors + 1)))
+        # a block at a time: translate allocates an output of its input's size
+        colors = bytes(range(1, num_colors + 1))
+        bad = [min(out) for start in range(0, len(tri), _BLOCK)
+               if (out := tri[start:start + _BLOCK].translate(None, colors))]
         if bad:
             raise ValueError(f"color {min(bad)} out of range 1..{num_colors}")
         self.n = n
@@ -208,13 +219,16 @@ class ExplicitColoring(EdgeColoring):
         # row u starts at offset u*(2n-u-1)/2 and holds the edges {u, u+1..n-1}
         return self._tri[u * (2 * self.n - u - 3) // 2 + v - 1]
 
+    def tri_row(self, u: int) -> bytes:
+        """The colors of the edges {u, u+1} .. {u, n-1} as bytes: row u of
+        the matrix, right of the diagonal (empty for u = n - 1)."""
+        n = self.n
+        start = u * (2 * n - u - 1) // 2
+        return bytes(memoryview(self._tri)[start:start + n - 1 - u])
+
     def tri_rows(self):
-        """Yield, for u = 0..n-2, the colors of the edges {u, u+1} .. {u, n-1}
-        as bytes: row u of the matrix, right of the diagonal."""
-        n, tri, start = self.n, self._tri, 0
-        for u in range(n - 1):
-            yield tri[start:start + n - 1 - u]
-            start += n - 1 - u
+        """The triangle rows ``tri_row(u)`` for u = 0..n-2, in order."""
+        return map(self.tri_row, range(self.n - 1))
 
     def matrix(self, table=None) -> bytearray:
         """Symmetric row-major n*n byte matrix of the edge colors, 0 on the
@@ -281,6 +295,7 @@ _DIGIT_CHAR = b"0123456789" + bytes(246)  # color -> its digit, or 0 from 10 on
 # the ASCII line breaks of str.splitlines besides "\n" ("\r\n" is one break)
 _OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 _TO_NEWLINE = bytes.maketrans(_OTHER_BREAKS, b"\n" * len(_OTHER_BREAKS))
+_NOT_ASCII = "coloring files are ASCII text"
 
 
 def _canonical_lines(coloring: EdgeColoring):
@@ -326,18 +341,32 @@ def loads_coloring(text: str) -> EdgeColoring:
     return _parse(iter(text.splitlines()))
 
 
-def _ascii_lines(raw: bytes):
-    """The lines of ASCII text, decoded one at a time, split wherever
-    ``str.splitlines`` splits the decoded text."""
-    if any(c in raw for c in _OTHER_BREAKS):  # rare: a copy with every break "\n"
-        raw = raw.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
-    start, end = 0, len(raw)
-    while start < end:
-        stop = raw.find(b"\n", start)
-        if stop < 0:
-            stop = end
-        yield raw[start:stop].decode("ascii")
-        start = stop + 1
+def _chunk_lines(read):
+    """The lines of an ASCII file, decoded one at a time, split wherever
+    ``str.splitlines`` splits the decoded text.  ``read(size)`` gives the
+    file's next bytes; each chunk is checked for ASCII before a line of it
+    is yielded, and only the line that runs over into the next chunk is
+    carried, so no more than a chunk and a line are held."""
+    pending, after_cr = b"", False
+    while chunk := read(_CHUNK):
+        if not chunk.isascii():
+            raise FormatError(_NOT_ASCII)
+        if after_cr and chunk.startswith(b"\n"):  # a "\r\n" split between chunks
+            chunk = chunk[1:]
+        after_cr = chunk.endswith(b"\r")
+        if any(c in chunk for c in _OTHER_BREAKS):  # rare: every break made "\n"
+            chunk = chunk.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
+        start = 0
+        while (stop := chunk.find(b"\n", start)) >= 0:
+            line = chunk[start:stop]
+            if pending:
+                line, pending = pending + line, b""
+            yield line.decode("ascii")
+            start = stop + 1
+        pending += chunk[start:]
+        del chunk  # before the next read, so that two chunks are never held
+    if pending:  # the last line, with no break after it
+        yield pending.decode("ascii")
 
 
 def _parse(lines) -> EdgeColoring:
@@ -408,7 +437,7 @@ def _parse_explicit(n: int, num_colors: int, lines) -> ExplicitColoring:
         raise FormatError(f"expected {n - 1} row lines, got {got}")
     if fault is not None:
         raise fault
-    return ExplicitColoring(n, num_colors, tri)
+    return ExplicitColoring(n, num_colors, tri, _adopt=True)
 
 
 def _parse_row(u: int, line: str, k: int, num_colors: int, digit_color) -> bytes:
@@ -440,22 +469,44 @@ def save_coloring(coloring: EdgeColoring, destination) -> None:
 
 
 def load_coloring(source) -> EdgeColoring:
+    """The coloring in a file, read in chunks of ``_CHUNK`` bytes (see the
+    module docstring).  A non-ASCII byte anywhere in the file is the error
+    reported, whatever fault comes before it, so after any other fault the
+    rest of the file is read and checked too."""
     try:
-        raw = Path(source).read_bytes()
+        with open(source, "rb") as stream:
+            try:
+                return _parse(_chunk_lines(stream.read))
+            except ValueError:  # FormatError, or an int() of too many digits
+                while chunk := stream.read(_CHUNK):
+                    if not chunk.isascii():
+                        raise FormatError(_NOT_ASCII) from None
+                raise
     except OSError as exc:
         raise FormatError(f"cannot read {source}: {exc}") from exc
-    if not raw.isascii():
-        raise FormatError("coloring files are ASCII text")
-    lines = _ascii_lines(raw)
-    del raw  # the line source alone holds the file, and drops it after the last line
-    return _parse(lines)
+
+
+def _sha256():
+    """A SHA-256 object from the interpreter's own module, ``_sha256`` up to
+    CPython 3.11 and ``_sha2`` from 3.12, as ``hashlib`` falls back to: importing
+    ``hashlib`` loads OpenSSL's libcrypto, about 3.4 MB of memory for a digest
+    that the built-in module computes at about 7.5 ms per MB (OpenSSL: 0.9)."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
 
 
 def coloring_digest(coloring: EdgeColoring) -> str:
-    """SHA-256 of the canonical file bytes; ties certificates to colorings."""
-    from hashlib import sha256  # most commands never take a digest
-
-    digest = sha256()
+    """SHA-256 of the canonical file bytes; ties certificates to colorings.
+    The canonical lines are hashed one at a time, by ``_sha256`` (no
+    OpenSSL); the module is imported on the first digest, since most
+    commands never take one."""
+    digest = _sha256()
     for line in _canonical_lines(coloring):
         digest.update(line)
     return digest.hexdigest()

@@ -22,7 +22,8 @@ pattern is chosen so colors 1..3 stay triangle-free and so the positions
 of every color >= 4 are identical in all six blocks, which pins any
 high-colored clique of H back into a single copy of T.  Each row of H is
 assembled from T's matrix rows, each block's slice mapped through that
-block's 256-byte translation table.
+block's 256-byte translation table, into one triangle of H allocated up
+front.
 
 If both inputs verify against their targets, H verifies against
 (3, 3, 3, k_1, ..., k_r), giving the bound
@@ -122,20 +123,26 @@ def chung_compose(comp: CompositionInput, validate: bool = True, *,
             raise CompositionError("G", color, report.cliques[color - 1])
 
     nT, nG = T.n, G.n
+    n = 3 * nT + nG
     tm = T.to_explicit().matrix()
-
-    # each vertex's triangle row: its matrix row in H, right of the diagonal
-    tri = []
+    # one triangle, filled row by row and adopted by the coloring: no list of
+    # rows and no joined copy (CompositionInput bounds n by MAX_VERTICES)
+    tri, start = bytearray(n * (n - 1) // 2), 0
     for copy in range(3):
         tables = [CHUNG_PLAN[max(copy, col) + 1, min(copy, col) + 1].table for col in range(3)]
         strip = bytes([copy + 1]) * nG
         for i in range(nT):
             t_row = tm[i * nT:(i + 1) * nT]
-            row = b"".join([t_row.translate(t) for t in tables] + [strip])
-            tri.append(row[copy * nT + i + 1:])
+            # the vertex's matrix row in H, right of the diagonal
+            row = b"".join([t_row[i + 1:].translate(tables[copy])]
+                           + [t_row.translate(t) for t in tables[copy + 1:]] + [strip])
+            tri[start:start + len(row)] = row
+            start += len(row)
     plus3 = bytes([0, *range(4, 256), 0, 0, 0])  # G's colors + 3
-    tri += [row.translate(plus3) for row in G.to_explicit().tri_rows()]
-    return ExplicitColoring(3 * nT + nG, len(targets) + 3, b"".join(tri))
+    for row in G.to_explicit().tri_rows():
+        tri[start:start + len(row)] = row.translate(plus3)
+        start += len(row)
+    return ExplicitColoring(n, len(targets) + 3, tri, _adopt=True)
 
 
 def bound_value(M: int, R: int) -> int:

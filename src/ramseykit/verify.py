@@ -52,14 +52,18 @@ plan.  ``VerificationReport.searches`` records each color's method.
   {sigma u, sigma v} for the first edge {u, v} of color c; colors that
   do not occur map to themselves).  The candidate is accepted only if
   sigma permutes the colors on every pair, m[sigma u][sigma v] =
-  pi(m[u][v]) for all u, v: row u translated through pi must equal the
-  slices [b:3b] + [:b] + [3b:] of row sigma u, one n-byte comparison a
-  row (14 ms at 1493 vertices, 0.12 s at 4634).  A row that does not
-  match, or a pi that is not a bijection of 1..C, rejects it.  The
-  candidate is read off a few edges (0.2 ms at 1493 vertices); the proof,
-  which builds the n^2 matrix, runs only when a color's plan below would
-  use the rotation, so a search for one color of a pi-cycle, or of a
-  coloring whose candidate pi is no bijection, does not pay for it.  Once
+  pi(m[u][v]) for all u < v.  The proof reads the triangle rows: sigma
+  keeps a pair's order unless it joins copy 1 or 2 to copy 3, so triangle
+  row u translated through pi must equal at most three slices of triangle
+  row sigma u, and the reversed pairs form two b x b blocks, checked
+  against the transposes of two others (see ``_rotates``).  It holds one
+  transposed block, b^2 bytes, and no n^2 matrix (10 ms at 1493 vertices,
+  65 ms at 4634).  A row that does not match, or a pi that is not a
+  bijection of 1..C, rejects it.  The candidate is read off a few edges
+  (0.2 ms at 1493 vertices); the proof runs only when a color's plan
+  below would use the rotation, so a search for one color of a pi-cycle,
+  or of a coloring whose candidate pi is no bijection, does not pay for
+  it.  Once
   proved, sigma maps each color-c clique to a color-pi(c) clique, so
   - the colors of one pi-cycle whose targets are all equal (1, 2 and 3 of
     a composed witness) are decided by a full scan of the least of them
@@ -176,14 +180,33 @@ def _copy_cycle(coloring: EdgeColoring) -> tuple[int, bytes] | None:
 
 def _rotates(coloring: EdgeColoring, b: int, pi: bytes) -> bool:
     """Whether sigma (rotate 0..3b-1 by b) maps every edge of color c to one
-    of color pi(c): row sigma(u), its slices [b:3b] + [:b] + [3b:], must be
-    row u translated through pi."""
-    n, r, m = coloring.n, 3 * b, coloring.matrix()
-    for u in range(n):
-        s = ((u + b) % r if u < r else u) * n
-        row = m[s:s + n]
-        if row[b:r] + row[:b] + row[r:] != m[u * n:(u + 1) * n].translate(pi):
+    of color pi(c), proved on the triangle rows.  For u < v, sigma keeps the
+    pair's order unless u lies in copy 1 or 2 and v in copy 3 (copy j: the
+    vertices (j-1)b..jb-1), so row u translated through pi is at most three
+    slices of row sigma(u).  The reversed pairs form two b x b blocks, checked
+    as pi(M13) = M12^T and pi(M23) = M13^T (Mij: rows of copy i, columns of
+    copy j), one transposed block at a time: b^2 bytes, not n^2."""
+    n, row = coloring.n, coloring.tri_row
+    for u in range(3 * b, n - 1):  # the G part, which sigma fixes
+        t = row(u)
+        if t.translate(pi) != t:
             return False
+    for i in range(b):  # copy 3 -> copy 1: pairs inside the copy, then to G
+        t, s, k = row(2 * b + i).translate(pi), row(i), b - 1 - i
+        if t[:k] != s[:k] or t[k:] != s[k + 2 * b:]:
+            return False
+    # copy 1 -> copy 2 (inside copies 1 and 2 | block M13 | G) against M12^T,
+    # then copy 2 -> copy 3 (inside copy 2 | block M23 | G) against M13^T
+    for c in (0, 1):
+        transposed = bytearray(b * b)
+        for i in range(b):  # row i of copy 1's block M1(c+2) becomes column i
+            transposed[i::b] = row(i)[(c + 1) * b - 1 - i:(c + 2) * b - 1 - i]
+        for i in range(b):
+            t, s, k = row(c * b + i).translate(pi), row((c + 1) * b + i), (2 - c) * b - 1 - i
+            if (t[:k] != s[:k] or t[k + b:] != s[k:]
+                    or t[k:k + b] != transposed[i * b:(i + 1) * b]):
+                return False
+        del transposed  # before the next one is built
     return True
 
 

@@ -312,3 +312,17 @@ def whole_text_load(path):
     if not raw.isascii():
         raise FormatError("coloring files are ASCII text")
     return token_loads(raw.decode("ascii"))
+
+
+def matrix_rotates(coloring, b, pi):
+    """Whether sigma (rotate 0..3b-1 by b) maps every edge of color c to one
+    of color pi(c), as the verifier proved it on the n^2 matrix before it
+    proved it on the triangle rows: row sigma(u), its slices [b:3b] + [:b] +
+    [3b:], must be row u translated through pi."""
+    n, r, m = coloring.n, 3 * b, coloring.matrix()
+    for u in range(n):
+        s = ((u + b) % r if u < r else u) * n
+        row = m[s:s + n]
+        if row[b:r] + row[:b] + row[r:] != m[u * n:(u + 1) * n].translate(pi):
+            return False
+    return True

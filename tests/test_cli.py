@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -321,18 +322,48 @@ def test_import_loads_no_pool_or_hashlib():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_verify_without_cert_takes_no_digest(tmp_path):
-    # no certificate is written, so the verdict is decided without hashing
-    # the file: hashlib (and OpenSSL with it) is never imported
+def _h50_file(tmp_path):
     t = build_cayley_coloring(power_cosets(make_field(2, 4), 3))
     path = tmp_path / "h50.col"
     save_coloring(chung_compose(CompositionInput(t, ExplicitColoring(2, 1, b"\x01"), (3,))),
                   path)
+    return path
+
+
+def _verify_in_a_fresh_interpreter(argv):
+    """``main(argv)`` in a new interpreter: its stdout, then the exit code
+    and whether ``hashlib`` and OpenSSL's ``_hashlib`` were imported."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = ("import sys\nfrom ramseykit.cli import main\n"
-              f"code = main(['verify', '-i', {str(path)!r}, '--targets', '3,3,3,3'])\n"
-              "print(code, 'hashlib' in sys.modules)")
+              f"code = main({argv!r})\n"
+              "print(code, 'hashlib' in sys.modules, '_hashlib' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (0, "PASS R(3,3,3,3)>=51\n0 False\n", "")
+    assert proc.stderr == "" and proc.returncode == 0
+    return proc.stdout
+
+
+def test_verify_without_cert_takes_no_digest(tmp_path):
+    # no certificate is written, so the verdict is decided without hashing
+    # the file (with --cert the digest avoids hashlib and OpenSSL too: see
+    # the next test)
+    path = _h50_file(tmp_path)
+    assert _verify_in_a_fresh_interpreter(
+        ["verify", "-i", str(path), "--targets", "3,3,3,3"]) == \
+        "PASS R(3,3,3,3)>=51\n0 False False\n"
+
+
+@pytest.mark.skipif(not any(map(find_spec, ["_sha256", "_sha2"])),  # up to 3.11, from 3.12
+                    reason="no built-in SHA-256 module: the digest falls back to hashlib")
+def test_verify_with_cert_loads_no_openssl(tmp_path):
+    # the certificate's digest comes from the interpreter's own SHA-256
+    # module, so neither hashlib nor OpenSSL's _hashlib is imported
+    path = _h50_file(tmp_path)
+    cert = tmp_path / "h50.cert"
+    assert _verify_in_a_fresh_interpreter(
+        ["verify", "-i", str(path), "--targets", "3,3,3,3", "--cert", str(cert)]) == \
+        "PASS R(3,3,3,3)>=51\n0 False False\n"
+    import hashlib
+
+    assert read_certificate(cert).coloring_sha == \
+        hashlib.sha256(path.read_bytes()).hexdigest()

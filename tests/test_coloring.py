@@ -235,9 +235,11 @@ def _traced_peak(fn):
 
 
 def test_explicit_file_io_holds_no_copy_of_the_text(tmp_path):
-    # the canonical lines are hashed and written one at a time, and the
-    # loader holds the file's bytes and one triangle (the text of a composed
-    # witness is about twice its triangle): no decoded text, no line list
+    # the canonical lines are hashed and written one at a time; the loader
+    # holds one chunk of the file and the triangle it adopts (the text of a
+    # composed witness is about twice its triangle), and the copy-cycle proof
+    # one transposed block of b^2 bytes (the matrix is n^2)
+    from ramseykit import verify
     from test_verify import chain
 
     h481 = chain()[2]
@@ -247,5 +249,58 @@ def test_explicit_file_io_holds_no_copy_of_the_text(tmp_path):
     assert size > 200_000
     assert _traced_peak(lambda: coloring_digest(h481)) < 64 * 1024
     assert _traced_peak(lambda: save_coloring(h481, path)) < 64 * 1024
-    assert _traced_peak(lambda: load_coloring(path)) < 2.5 * size
+    assert _traced_peak(lambda: load_coloring(path)) < 0.75 * size
     assert load_coloring(path)._tri == h481._tri
+    b, pi = verify._copy_cycle(h481)
+    assert verify._rotates(h481, b, pi)
+    assert _traced_peak(lambda: verify._rotates(h481, b, pi)) < h481.n * h481.n // 4
+
+
+def _load_as_text(path, text):
+    """``load_coloring(path)`` against the whole-text oracle and, for ASCII
+    text, ``loads_coloring(text)``: the same coloring or the same FormatError
+    message from all of them; returns the coloring or the message."""
+    from helpers import whole_text_load
+
+    results = []
+    for load, arg in [(load_coloring, path), (whole_text_load, path)] + (
+            [(loads_coloring, text)] if text.isascii() else []):
+        try:
+            col = load(arg)
+            results.append((col.n, col.num_colors, bytes(col._tri)))
+        except FormatError as exc:
+            results.append(str(exc))
+    assert all(result == results[0] for result in results)
+    return results[0]
+
+
+_ROWS = dumps_coloring(ExplicitColoring.from_function(
+    12, 11, lambda u, v: (3 * u + 5 * v) % 11 + 1))  # rows of 11 .. 1 colors, up to 31 bytes
+_ROWS_TRI = bytes(loads_coloring(_ROWS)._tri)
+
+
+@pytest.mark.parametrize("case", ["crlf", "no final newline", "long rows",
+                                  "non-ASCII after a header fault",
+                                  "non-ASCII after a malformed row"])
+def test_load_in_chunks_of_a_few_bytes(tmp_path, monkeypatch, case):
+    # every chunk size up to a line and beyond splits the file somewhere
+    # new: a "\r\n" between two chunks, a row over several chunks, the
+    # last line without its break, a non-ASCII byte chunks after the fault
+    from ramseykit import coloring
+
+    text = {"crlf": _ROWS.replace("\n", "\r\n"),
+            "no final newline": _ROWS[:-1],
+            "long rows": _ROWS,
+            "non-ASCII after a header fault": _ROWS.replace("v1", "v2") + "\u00e9",
+            "non-ASCII after a malformed row":
+                _ROWS.replace("explicit\n", "explicit\n0 ")[:-1] + "\u00e9\n"}[case]
+    path = tmp_path / "chunked.col"
+    path.write_bytes(text.encode("utf-8"))
+    for chunk in range(1, 40):
+        monkeypatch.setattr(coloring, "_CHUNK", chunk)
+        result = _load_as_text(path, text)
+        if case.startswith("non-ASCII"):
+            assert result == "coloring files are ASCII text"
+        else:
+            assert result == (12, 11, _ROWS_TRI)
+

@@ -6,18 +6,24 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ramseykit import (
+    CirculantColoring,
     CompositionInput,
     ExplicitColoring,
     FormatError,
     chung_compose,
+    coloring_digest,
     dumps_coloring,
     find_mono_clique,
     load_coloring,
     loads_coloring,
+    make_field,
+    verify,
     verify_witness,
 )
+from ramseykit import coloring as coloring_mod
 
-from helpers import composed_color, full_row_find, token_dumps, token_loads, whole_text_load
+from helpers import (composed_color, full_row_find, matrix_rotates, token_dumps, token_loads,
+                     whole_text_load)
 
 
 @st.composite
@@ -200,16 +206,30 @@ def _load_as_the_whole_text(path):
             expected.n, expected.num_colors, expected._tri)
 
 
-@settings(deadline=None)
-@given(explicit_colorings(max_n=20), st.data())
-def test_load_coloring_matches_the_whole_text_load(tmp_path_factory, col, data):
+def _load_changed_lines(path, col, data):
+    """Up to three changes of ``col``'s line structure, drawn from ``data``,
+    loaded as the whole text."""
     text = dumps_coloring(col)
     for _ in range(data.draw(st.integers(0, 3))):
         text = _change_lines(text, data.draw(st.sampled_from(_LINE_CHANGES)),
                              data.draw(st.integers(0, 500)), data.draw(st.sampled_from(_BREAKS)))
-    path = tmp_path_factory.getbasetemp() / "changed.col"
     path.write_bytes(text.encode("utf-8"))
     _load_as_the_whole_text(path)
+
+
+@settings(deadline=None)
+@given(explicit_colorings(max_n=20), st.data())
+def test_load_coloring_matches_the_whole_text_load(tmp_path_factory, col, data):
+    _load_changed_lines(tmp_path_factory.getbasetemp() / "changed.col", col, data)
+
+
+@settings(deadline=None)
+@given(explicit_colorings(max_n=20), st.data(), st.integers(1, 12))
+def test_load_in_small_chunks_matches_the_whole_text_load(tmp_path_factory, col, data, chunk):
+    # chunks of a few bytes split lines, breaks and "\r\n" pairs anywhere
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coloring_mod, "_CHUNK", chunk)
+        _load_changed_lines(tmp_path_factory.getbasetemp() / "chunked.col", col, data)
 
 
 @pytest.mark.parametrize("kind", _LINE_CHANGES)
@@ -220,6 +240,38 @@ def test_each_line_change_loads_as_the_whole_text(tmp_path, kind):
         for i in (0, 7, 40):
             path.write_bytes(_change_lines(dumps_coloring(col), kind, i, brk).encode("utf-8"))
             _load_as_the_whole_text(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("kind", _LINE_CHANGES)
+def test_each_line_change_loads_as_the_whole_text_in_small_chunks(tmp_path, monkeypatch,
+                                                                  kind, chunk):
+    monkeypatch.setattr(coloring_mod, "_CHUNK", chunk)
+    test_each_line_change_loads_as_the_whole_text(tmp_path, kind)
+
+
+@st.composite
+def circulant_colorings(draw):
+    """A random coloring of Z_p or GF(p^k) by the classes {d, -d}."""
+    field = make_field(*draw(st.sampled_from([(2, 1), (5, 1), (13, 1), (31, 1), (101, 1),
+                                              (3, 2), (2, 4), (5, 2)])))
+    num_colors = draw(st.integers(1, 12))
+    sets = [[] for _ in range(num_colors)]
+    for d in field.nonzero():
+        if d <= field.neg(d):  # the class {d, -d}, once
+            color = draw(st.integers(0, num_colors - 1))
+            sets[color] += {d, field.neg(d)}
+    return CirculantColoring(field, sets)
+
+
+@settings(deadline=None)
+@given(st.one_of(explicit_colorings(max_n=40), circulant_colorings()))
+@example(single_vertex)
+@example(single_edge_color_12)
+def test_digest_is_the_sha256_of_the_text(col):
+    import hashlib
+
+    assert coloring_digest(col) == hashlib.sha256(dumps_coloring(col).encode()).hexdigest()
 
 
 @st.composite
@@ -295,3 +347,44 @@ def test_search_on_rows_above_matches_the_full_rows(col, k, symmetry):
         report = verify_witness(col, targets, symmetry=symmetry)
         assert report.cliques[color - 1] == clique
         assert report.searches[color - 1].nodes == nodes
+
+
+@st.composite
+def rotation_candidates(draw):
+    """An explicit coloring, b with 3b <= n and a color map pi: a composed
+    witness with its own copy cycle, that witness with one edge recolored,
+    or a random coloring with a random b and pi."""
+    kind = draw(st.sampled_from(["composed", "recolored", "random"]))
+    if kind == "random":
+        col = draw(explicit_colorings(max_n=16, max_colors=4))
+        assume(col.n >= 3)
+        b = draw(st.integers(1, col.n // 3))
+        perm = draw(st.permutations(range(1, col.num_colors + 1)))
+        return col, b, bytes([0, *perm, *range(col.num_colors + 1, 256)])
+    comp = draw(composition_inputs())
+    col = chung_compose(comp, validate=False)
+    if kind == "recolored":
+        u, v = sorted(draw(st.lists(st.integers(0, col.n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        color = draw(st.integers(1, col.num_colors))
+        tri = bytearray(col._tri)
+        tri[u * (2 * col.n - u - 3) // 2 + v - 1] = color
+        col = ExplicitColoring(col.n, col.num_colors, tri)
+    pi = bytearray(range(256))
+    pi[1:4] = b"\x02\x03\x01"  # the copy cycle of colors 1, 2, 3 in a composed witness
+    return col, comp.t_witness.n, bytes(pi)
+
+
+# b = 1 and pi swaps colors 1 and 2: the edges to the G vertex 3 from copies
+# 1 and 2 (vertices 0 and 1) map as they must, and only the edge from copy 3
+# does not map back onto copy 1's
+swap_12 = bytes([0, 2, 1, *range(3, 256)])
+g_edge_of_copy_2 = (ExplicitColoring(4, 3, bytes([3, 3, 1, 3, 2, 1])), 1, swap_12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rotation_candidates())
+@example(g_edge_of_copy_2)
+def test_rotation_proof_on_the_triangle_matches_the_matrix_proof(candidate):
+    col, b, pi = candidate
+    assert verify._rotates(col, b, pi) == matrix_rotates(col, b, pi)
