@@ -1,8 +1,8 @@
 """Command line front end: admissible orders, witness search, build/verify/compose.
 
 Exit codes are a stable contract: 0 pass, 1 refuted, 2 usage error, 3 internal
-failure (a precondition, a crashed worker process, a closed stdout), 4 malformed
-input file.  Results go to stdout; anything diagnostic goes to stderr.
+failure (a precondition, a closed stdout), 4 malformed input file.  Results go
+to stdout; anything diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -46,17 +46,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _broken_pool():
-    """The BrokenProcessPool class if the process pool module is loaded, else
-    () (no pool ran, so none broke): catching it imports nothing."""
-    pool = sys.modules.get("concurrent.futures.process")
-    return () if pool is None else pool.BrokenProcessPool
-
-
-def _threads(args) -> int:
-    return args.threads or os.cpu_count() or 1
-
-
 def _cmd_primes(args) -> int:
     for spec in _iter_orders(args.mod, args.lo, args.hi, prime_only=args.prime_only):
         print(spec.order)
@@ -97,7 +86,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     coloring = load_coloring(args.input)
-    cert = certify(coloring, args.targets, args.cert, workers=_threads(args))
+    cert = certify(coloring, args.targets, args.cert)
     if cert.passed:
         print(f"PASS {cert.statement()}")
         return EXIT_PASS
@@ -109,7 +98,7 @@ def _cmd_compose(args) -> int:
     t_coloring = load_coloring(args.t_file)
     g_coloring = load_coloring(args.g_file)
     comp = CompositionInput(t_coloring, g_coloring, args.targets)
-    composed = chung_compose(comp, validate=not args.no_validate, workers=_threads(args))
+    composed = chung_compose(comp, validate=not args.no_validate)
     save_coloring(composed, args.out)
     print(f"wrote {args.out} (n={composed.n}, colors={composed.num_colors})")
     return EXIT_PASS
@@ -118,10 +107,7 @@ def _cmd_compose(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_positive_int, default=None, metavar="N",
-                        help="worker processes for verify and compose validation "
-                             "(default: all cores); they start only for a full scan "
-                             "with at least 1024 vertices per worker, and search "
-                             "runs in one process")
+                        help="accepted and ignored: every search runs in one process")
     common.add_argument("--deterministic", action="store_true",
                         help="accepted and ignored: witnesses are always the "
                              "lexicographically least")
@@ -196,9 +182,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout (`| head`)
         # devnull takes what is still buffered, so the final flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_INTERNAL
-    except _broken_pool() as exc:  # evaluated only while an exception is handled
-        print(f"internal error: a worker process died ({exc})", file=sys.stderr)
         return EXIT_INTERNAL
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

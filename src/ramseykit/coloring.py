@@ -287,8 +287,9 @@ def build_cayley_coloring(partition: CosetPartition) -> CirculantColoring:
 
 # -- serialization --------------------------------------------------------
 
-_META_RE = re.compile(r"^n=(\d+) colors=(\d+) repr=(circulant|explicit)$")
-_FIELD_RE = re.compile(r"^field=(\d+)(?:\^(\d+) poly=(\d+(?:,\d+)*))?$")
+# ASCII digits only, as in a file: \d would take any Unicode decimal digit
+_META_RE = re.compile(r"^n=(\d+) colors=(\d+) repr=(circulant|explicit)$", re.ASCII)
+_FIELD_RE = re.compile(r"^field=(\d+)(?:\^(\d+) poly=(\d+(?:,\d+)*))?$", re.ASCII)
 _TOKENS = [str(c) for c in range(256)]
 _TOKEN_VALUE = {t: c for c, t in enumerate(_TOKENS)}  # canonical decimal only
 _DIGIT_CHAR = b"0123456789" + bytes(246)  # color -> its digit, or 0 from 10 on
@@ -379,9 +380,10 @@ def _parse(lines) -> EdgeColoring:
     meta = _META_RE.match(size)
     if not meta:
         raise FormatError(f"malformed size line: {size!r}")
-    n, num_colors, kind = int(meta.group(1)), int(meta.group(2)), meta.group(3)
     try:
-        if kind == "circulant":
+        # inside the try: int() of more than 4300 digits raises ValueError
+        n, num_colors = int(meta.group(1)), int(meta.group(2))
+        if meta.group(3) == "circulant":
             return _parse_circulant(n, num_colors, list(lines))
         return _parse_explicit(n, num_colors, lines)
     except FormatError:
@@ -477,7 +479,7 @@ def load_coloring(source) -> EdgeColoring:
         with open(source, "rb") as stream:
             try:
                 return _parse(_chunk_lines(stream.read))
-            except ValueError:  # FormatError, or an int() of too many digits
+            except FormatError:
                 while chunk := stream.read(_CHUNK):
                     if not chunk.isascii():
                         raise FormatError(_NOT_ASCII) from None

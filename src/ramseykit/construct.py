@@ -102,8 +102,7 @@ class CompositionInput(record("CompositionInput", "t_witness g_witness targets")
         return super().__new__(cls, t_witness, g_witness, targets)
 
 
-def chung_compose(comp: CompositionInput, validate: bool = True, *,
-                  workers: int = 1) -> ExplicitColoring:
+def chung_compose(comp: CompositionInput, validate: bool = True) -> ExplicitColoring:
     """Assemble the composed witness H (always explicit).
 
     With validate set (the default), both inputs are first verified
@@ -113,11 +112,11 @@ def chung_compose(comp: CompositionInput, validate: bool = True, *,
     """
     T, G, targets = comp.t_witness, comp.g_witness, comp.targets
     if validate:
-        report = verify_mod.verify_witness(T, (3, 3) + targets, workers=workers)
+        report = verify_mod.verify_witness(T, (3, 3) + targets)
         if not report.passed:
             color = next(i for i, c in enumerate(report.cliques, 1) if c is not None)
             raise CompositionError("T", color, report.cliques[color - 1])
-        report = verify_mod.verify_witness(G, targets, workers=workers)
+        report = verify_mod.verify_witness(G, targets)
         if not report.passed:
             color = next(i for i, c in enumerate(report.cliques, 1) if c is not None)
             raise CompositionError("G", color, report.cliques[color - 1])

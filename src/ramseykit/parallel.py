@@ -1,4 +1,4 @@
-"""The bitset clique kernel and the ordered-chunk parallel search.
+"""The bitset clique kernel.
 
 ``rows[v]`` is vertex v's neighbour set as an int bitmask; ``_search_roots``
 finds the least k-clique whose minimum vertex is one of the given roots,
@@ -45,14 +45,6 @@ the plain loop reads (``search --galois 3,8 --mod 2 -t 7`` took
 0.33-0.44 s in-process with the OR on such rows, 0.04-0.05 s without).
 Node counts are those of the plain loop, which peels the least candidate
 bit in five big-int operations, either way.
-
-``ordered_search(search, args, items, workers)`` runs ``search(*args, items)``
-over consecutive chunks of ``items``; each call returns a tuple whose ``[0]``
-is its least hit or None.  The first chunk with a hit holds the least hit
-overall, whatever the worker count.  Only ``verify`` uses it, and only for
-a full scan with enough roots per worker; the process pool is imported when
-the first one starts, so a command that never starts one never loads
-``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -60,10 +52,6 @@ from __future__ import annotations
 from functools import reduce
 from itertools import compress
 from operator import or_
-
-# Chunks per worker.  More chunks let a hit in an early chunk cancel more of
-# the later work; fewer keep the per-chunk round trips cheap.
-CHUNKS_PER_WORKER = 8
 
 # Fewest candidates for the need == 2 shortcuts: the OR test on built rows
 # and the position walk.  Per need == 2 node of a K3 full scan of colour 1
@@ -75,8 +63,6 @@ CHUNKS_PER_WORKER = 8
 _DENSE = 16
 
 _ONES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" digits to false/true bytes
-
-_job = None  # (search, args) in a worker process, set by _init_worker
 
 
 def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
@@ -157,41 +143,3 @@ def orbit_search(rows, k: int, orbits, prefix: tuple[int, ...] = ()) -> tuple[bo
         for x in members:
             excluded |= 1 << x
     return False, stats[0]
-
-
-def _init_worker(search, args) -> None:
-    # The shared arguments reach each worker once, not once per chunk.
-    global _job
-    _job = search, args
-
-
-def _run_chunk(items):
-    search, args = _job
-    return search(*args, items)
-
-
-def ordered_search(search, args: tuple, items, workers: int) -> list:
-    """Results of ``search(*args, chunk)`` over consecutive slices of ``items``,
-    in order, up to the first whose ``[0]`` is a hit (later chunks are
-    cancelled), so ``results[-1][0]`` is the least hit or None.  With
-    ``workers <= 1`` or fewer than ``2 * workers`` items, one in-process
-    call searches all of ``items``; otherwise a pool of ``workers``
-    processes starts for this call.  The caller decides whether the work
-    is worth the pool (``verify.MIN_ROOTS_PER_WORKER``)."""
-    if workers <= 1 or len(items) < 2 * workers:
-        return [search(*args, items)]
-    from concurrent.futures import ProcessPoolExecutor  # first use only
-
-    n_chunks = min(len(items), CHUNKS_PER_WORKER * workers)
-    cuts = [len(items) * i // n_chunks for i in range(n_chunks + 1)]
-    results = []
-    with ProcessPoolExecutor(workers, initializer=_init_worker,
-                             initargs=(search, args)) as pool:
-        futures = [pool.submit(_run_chunk, items[a:b]) for a, b in zip(cuts, cuts[1:])]
-        for future in futures:
-            results.append(future.result())
-            if results[-1][0] is not None:
-                for later in futures:
-                    later.cancel()
-                break
-    return results

@@ -79,14 +79,7 @@ plan.  ``VerificationReport.searches`` records each color's method.
   automorphism group, as in McKay & Piperno, Practical graph isomorphism
   II (2014).
 
-A full scan (method ``full``) searches from every root.  With ``workers``
-> 1 and at least ``MIN_ROOTS_PER_WORKER`` roots per worker, several worker
-processes search consecutive chunks of roots (see ``parallel``) and stop
-at the first chunk holding a clique; smaller scans run in-process, because
-starting a pool costs more than it saves there.  The chunk order makes the
-clique and the node count independent of the worker count: the chunks
-before the hit are searched whole, and the hit's chunk up to the hit, as
-one process would.
+A full scan (method ``full``) searches from every root, in one process.
 """
 
 from __future__ import annotations
@@ -95,24 +88,11 @@ from pathlib import Path
 
 from .coloring import EdgeColoring, FormatError, coloring_digest
 from .field import generator_powers, multiplicative_generator
-from .parallel import _search_roots, orbit_search, ordered_search
+from .parallel import _search_roots, orbit_search
 from .records import record
 
 CERT_HEADER = "ramsey-certificate v1"
 _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
-
-# Fewest roots per worker process for a full scan; a scan gets
-# min(workers, n // MIN_ROOTS_PER_WORKER) workers and runs in-process at 1.
-# Measured on 2 vCPUs (CPython 3.11.7) with the kernel's need == 2 OR test:
-# the full scan of every color of the 4634-vertex composed witness
-# (symmetry=False) still gains, 3.22 / 3.35 s with 1 worker against
-# 2.48 / 2.24 s with 2, and it is the only measured case that does.
-# `verify -i h4634.col`, whose copy cycle leaves one color to scan in full,
-# took 1.93-2.06 s with --threads 1 and 2.02-2.37 s with --threads 2, and
-# the 1493-vertex witness broke even with 2 workers already before the OR
-# test (0.56-0.62 s against 0.58-0.62 s; 481 vertices: 0.08 s against
-# 0.18 s).  No benchmark workload starts a pool.
-MIN_ROOTS_PER_WORKER = 1024
 
 
 def _recheck_clique(coloring: EdgeColoring, color: int, clique) -> None:
@@ -252,8 +232,8 @@ def _rotation_plans(coloring: EdgeColoring, targets: dict[int, int], b: int,
     return plans
 
 
-def _find(coloring: EdgeColoring, color: int, k: int, plan: _Plan,
-          workers: int) -> tuple[tuple[int, ...] | None, int]:
+def _find(coloring: EdgeColoring, color: int, k: int,
+          plan: _Plan) -> tuple[tuple[int, ...] | None, int]:
     # the rows above each vertex, except for edge orbits (module docstring)
     rows = (coloring.neighbor_rows(color) if coloring.is_circulant
             else coloring.rows_above(color))
@@ -269,21 +249,18 @@ def _find(coloring: EdgeColoring, color: int, k: int, plan: _Plan,
         # lazily built rows of a circulant coloring
         roots = range(coloring.n)
         rows = [rows[u] for u in roots]
-        workers = min(workers, coloring.n // MIN_ROOTS_PER_WORKER)
-    results = ordered_search(_search_roots, (rows, k), roots, workers)
-    clique = results[-1][0]
-    nodes += sum(nodes_chunk for _, nodes_chunk in results)
+    clique, scanned = _search_roots(rows, k, roots)
     if clique is not None:
         _recheck_clique(coloring, color, clique)
-    return clique, nodes
+    return clique, nodes + scanned
 
 
 def find_mono_clique(coloring: EdgeColoring, color: int, k: int, *,
-                     symmetry: bool | None = None, workers: int = 1) -> tuple[int, ...] | None:
+                     symmetry: bool | None = None) -> tuple[int, ...] | None:
     """Exhaustive search for a k-clique in one color class.
 
     Returns None iff no such clique exists, else the lexicographically
-    least one, independent of the worker count and of ``symmetry``.
+    least one, independent of ``symmetry``.
     symmetry None means "search by any symmetry the verifier proves" (edge
     orbits of a circulant coloring, the copy-cycle rotation of an explicit
     one), True demands such a symmetry (ValueError when none is proved),
@@ -293,7 +270,7 @@ def find_mono_clique(coloring: EdgeColoring, color: int, k: int, *,
     if not 2 <= k <= coloring.n:
         raise ValueError(f"clique size {k} out of range 2..{coloring.n}")
     plan = _plans(coloring, {color: k}, symmetry)[color]
-    return _find(coloring, color, k, plan, workers)[0]
+    return _find(coloring, color, k, plan)[0]
 
 
 class ColorSearch(record("ColorSearch", "method nodes")):
@@ -327,8 +304,8 @@ class VerificationReport(record("VerificationReport", "targets cliques searches"
         return "; ".join(parts)
 
 
-def verify_witness(coloring: EdgeColoring, targets, *, symmetry: bool | None = None,
-                   workers: int = 1) -> VerificationReport:
+def verify_witness(coloring: EdgeColoring, targets, *,
+                   symmetry: bool | None = None) -> VerificationReport:
     """Check that color i contains no K_{targets[i]}, for every color.
 
     ``symmetry`` is as for ``find_mono_clique``; the verdict and the
@@ -351,7 +328,7 @@ def verify_witness(coloring: EdgeColoring, targets, *, symmetry: bool | None = N
         else:
             if plan.leader is not None:
                 plan = _FULL  # the leader's clique has an image here; find the least
-            clique, nodes = _find(coloring, color, k, plan, workers)
+            clique, nodes = _find(coloring, color, k, plan)
             search = ColorSearch(plan.method, nodes)
         cliques.append(clique)
         searches.append(search)
@@ -390,13 +367,13 @@ class RamseyCertificate(record("RamseyCertificate",
         return "\n".join(lines) + "\n"
 
 
-def certify(coloring: EdgeColoring, targets, out=None, *, symmetry: bool | None = None,
-            workers: int = 1) -> RamseyCertificate:
+def certify(coloring: EdgeColoring, targets, out=None, *,
+            symmetry: bool | None = None) -> RamseyCertificate:
     """Verify a coloring and (optionally) write the certificate file.
 
     The coloring is hashed only for a file: without ``out`` the verdict is
     decided alone and ``coloring_sha`` is None."""
-    report = verify_witness(coloring, targets, symmetry=symmetry, workers=workers)
+    report = verify_witness(coloring, targets, symmetry=symmetry)
     sha = None if out is None else coloring_digest(coloring)
     if report.passed:
         cert = RamseyCertificate(report.targets, coloring.n, True, sha)

@@ -55,17 +55,6 @@ def loop_search_roots(rows, k, roots):
     return None, stats[0]
 
 
-def least_member(targets, items):
-    """Toy search for parallel.ordered_search: the first item in targets (or
-    None), and the items scanned up to it."""
-    scanned = []
-    for x in items:
-        scanned.append(x)
-        if x in targets:
-            return x, scanned
-    return None, scanned
-
-
 def trial_division_primes(lo, hi):
     out = []
     for n in range(max(lo, 2), hi + 1):

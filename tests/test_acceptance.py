@@ -10,8 +10,9 @@ with its runtime (run with ``pytest tests/test_acceptance.py -v -s``):
 5. The bound arithmetic 3M + R - 3 on six published input bounds.
 6. Normalized-search existence equals exhaustive clique-search existence
    over all admissible primes up to 100.
-7. Byte-exact save/load round trips, clique determinism across 1, 2, and
-   8 workers, and normalized witnesses equal to a list-based search.
+7. Byte-exact save/load round trips, the same least cliques with and
+   without the verifier's symmetry plans, and normalized witnesses equal
+   to a list-based search.
 
 Bounds that rest on witnesses published elsewhere (such as R(3,3,4) >= 30)
 are deliberately checked at formula level only (item 5); discovering those
@@ -162,8 +163,8 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, capsys):
         assert path.read_bytes() == raw
         assert rk.coloring_digest(loaded) == rk.coloring_digest(coloring)
 
-    # deterministic witnesses across 1, 2, and 8 workers, on instances with
-    # and without monochromatic cliques
+    # the same least witness from every root (symmetry=False) as from the
+    # symmetry plans, on instances with and without monochromatic cliques
     clique_cases = [
         (rk.build_cayley_coloring(rk.power_cosets(rk.make_field(97), 3)), 5),
         (rk.build_cayley_coloring(rk.power_cosets(rk.make_field(73), 3)), 4),
@@ -175,11 +176,9 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, capsys):
     witness_seen = False
     for coloring, k in clique_cases:
         for color in range(1, coloring.num_colors + 1):
-            results = {
-                w: rk.find_mono_clique(coloring, color, k, workers=w, symmetry=False)
-                for w in (1, 2, 8)}
-            assert results[1] == results[2] == results[8]
-            witness_seen = witness_seen or results[1] is not None
+            found = rk.find_mono_clique(coloring, color, k, symmetry=False)
+            assert rk.find_mono_clique(coloring, color, k) == found
+            witness_seen = witness_seen or found is not None
     assert witness_seen  # the suite must compare actual witnesses too
 
     # the normalized search runs in one process; it must return the least
@@ -191,5 +190,5 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, capsys):
         assert (witness and witness.elements) == subset_witness(partition, t), (p, m, t)
 
     with capsys.disabled():
-        _report("7 (round trips and worker determinism)",
+        _report("7 (round trips and clique determinism)",
                 time.perf_counter() - start, 600)

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from importlib.util import find_spec
 from pathlib import Path
 
@@ -296,22 +295,8 @@ def test_orders_stream_to_a_closed_stdout():
     assert (proc.returncode, err) == (3, b"")
 
 
-def test_crashed_worker_exits_3(tmp_path, capsys, monkeypatch):
-    import ramseykit.cli as cli
-
-    def crashed_certify(*args, **kwargs):
-        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
-
-    # verify is the command that starts worker processes; search runs in one
-    path = _pentagon_file(tmp_path, capsys)
-    monkeypatch.setattr(cli, "certify", crashed_certify)
-    code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3,3")
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error: a worker process died")
-
-
 def test_import_loads_no_pool_or_hashlib():
-    # a command that starts no worker and takes no digest pays for neither
+    # importing the CLI loads no process pool module and takes no digest
     src = Path(__file__).resolve().parent.parent / "src"
     # nor for dataclasses, which imports inspect, ast and dis
     script = ("import sys, ramseykit.cli\n"
@@ -332,11 +317,13 @@ def _h50_file(tmp_path):
 
 def _verify_in_a_fresh_interpreter(argv):
     """``main(argv)`` in a new interpreter: its stdout, then the exit code
-    and whether ``hashlib`` and OpenSSL's ``_hashlib`` were imported."""
+    and which of ``hashlib``, OpenSSL's ``_hashlib`` and the process pool
+    modules were imported."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = ("import sys\nfrom ramseykit.cli import main\n"
               f"code = main({argv!r})\n"
-              "print(code, 'hashlib' in sys.modules, '_hashlib' in sys.modules)")
+              "print(code, [m for m in ('hashlib', '_hashlib', 'multiprocessing',"
+              " 'concurrent.futures') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.stderr == "" and proc.returncode == 0
@@ -350,7 +337,7 @@ def test_verify_without_cert_takes_no_digest(tmp_path):
     path = _h50_file(tmp_path)
     assert _verify_in_a_fresh_interpreter(
         ["verify", "-i", str(path), "--targets", "3,3,3,3"]) == \
-        "PASS R(3,3,3,3)>=51\n0 False False\n"
+        "PASS R(3,3,3,3)>=51\n0 []\n"
 
 
 @pytest.mark.skipif(not any(map(find_spec, ["_sha256", "_sha2"])),  # up to 3.11, from 3.12
@@ -362,8 +349,31 @@ def test_verify_with_cert_loads_no_openssl(tmp_path):
     cert = tmp_path / "h50.cert"
     assert _verify_in_a_fresh_interpreter(
         ["verify", "-i", str(path), "--targets", "3,3,3,3", "--cert", str(cert)]) == \
-        "PASS R(3,3,3,3)>=51\n0 False False\n"
+        "PASS R(3,3,3,3)>=51\n0 []\n"
     import hashlib
 
     assert read_certificate(cert).coloring_sha == \
         hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_full_scan_of_2048_vertices_starts_no_pool(tmp_path):
+    # a one-color K_2048 has no copy cycle (the leading run of its last row
+    # is n - 1 long), so color 1 gets the full scan of all 2048 roots; every
+    # search runs in one process, and --threads is accepted and ignored
+    n = 2048
+    path = tmp_path / "k2048.col"
+    save_coloring(ExplicitColoring(n, 1, b"\x01" * (n * (n - 1) // 2)), path)
+    outs = [_verify_in_a_fresh_interpreter(
+        ["verify", "-i", str(path), "--targets", "3", "--threads", threads])
+        for threads in ("1", "2")]
+    assert outs[0] == outs[1] == "FAIL color=1 clique=0,1,2\n1 []\n"
+
+
+def test_size_line_of_too_many_digits_exits_4(tmp_path, capsys):
+    # int() refuses strings of more than 4300 digits with a ValueError; the
+    # file is malformed, not the program
+    path = tmp_path / "big.col"
+    path.write_text("ramsey-coloring v1\nn=" + "9" * 5000 + " colors=1 repr=explicit\n")
+    code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ")

@@ -213,6 +213,16 @@ def test_load_rejects_field_order_mismatch():
                        "field=5\ncolor 1: 1 4\ncolor 2: 2 3\n")
 
 
+def test_load_rejects_non_ascii_digits():
+    # an Arabic-Indic digit is a Unicode decimal that int() reads, but no
+    # coloring file holds one: the text is rejected as the file would be
+    with pytest.raises(FormatError, match="malformed size line"):
+        loads_coloring("ramsey-coloring v1\nn=\u0662 colors=1 repr=explicit\n1\n")
+    with pytest.raises(FormatError, match="malformed field line"):
+        loads_coloring("ramsey-coloring v1\nn=5 colors=2 repr=circulant\n"
+                       "field=\u0665\ncolor 1: 1 4\ncolor 2: 2 3\n")
+
+
 def test_single_edge_coloring_round_trip():
     k2 = ExplicitColoring(2, 1, b"\x01")
     text = dumps_coloring(k2)

@@ -1,22 +1,15 @@
-"""The clique kernel against a plain oracle, and the ordered-chunk parallel
-search: least hit, chunk order, spawned workers."""
+"""The clique kernel against a plain oracle."""
 
 import itertools
-import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseykit import make_field, parallel, power_cosets
-from ramseykit.parallel import (CHUNKS_PER_WORKER, _DENSE, _search_roots, orbit_search,
-                                ordered_search)
+from ramseykit import parallel
+from ramseykit.parallel import _DENSE, _search_roots, orbit_search
 
-from helpers import least_member, loop_search_roots, subset_witness
+from helpers import loop_search_roots
 
 
 @st.composite
@@ -157,69 +150,3 @@ def test_only_triangle_through_the_top_candidate(monkeypatch, low, upper):
         == ((0, low, top), 2)
     assert len(calls) == 1
 
-
-ITEMS = range(100)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_hit_only_in_last_chunk(workers):
-    results = ordered_search(least_member, (frozenset({99}),), ITEMS, workers)
-    assert len(results) == (1 if workers == 1 else CHUNKS_PER_WORKER * workers)
-    assert results[-1][0] == 99
-    assert all(hit is None for hit, _ in results[:-1])
-    assert [x for _, scanned in results for x in scanned] == list(ITEMS)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_least_hit_wins(workers):
-    results = ordered_search(least_member, (frozenset({95, 60, 17}),), ITEMS, workers)
-    assert results[-1][0] == 17
-    assert all(hit is None for hit, _ in results[:-1])
-    assert [x for _, scanned in results for x in scanned] == list(range(18))
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_no_hit_returns_every_chunk_in_order(workers):
-    results = ordered_search(least_member, (frozenset({100}),), ITEMS, workers)
-    assert all(hit is None for hit, _ in results)
-    assert [x for _, scanned in results for x in scanned] == list(ITEMS)
-
-
-def test_few_items_search_in_process():
-    # fewer than 2 * workers items: one in-process call over all of them
-    assert ordered_search(least_member, (frozenset(),), range(5), 3) == \
-        [(None, [0, 1, 2, 3, 4])]
-
-
-_SPAWN_SCRIPT = """
-import json, multiprocessing
-multiprocessing.set_start_method("spawn")
-import ramseykit as rk
-from ramseykit.parallel import _search_roots, ordered_search
-paley = rk.build_cayley_coloring(rk.power_cosets(rk.make_field(13), 2)).to_explicit()
-rows = paley.neighbor_rows(1)
-out = {"clique": [], "chunks": [],
-       "normalized": rk.find_normalized_clique(rk.power_cosets(rk.make_field(97), 3),
-                                               5).elements}
-for w in (1, 2, 3):
-    results = [ordered_search(_search_roots, (rows, k), range(13), w) for k in (3, 5)]
-    out["clique"].append([r[-1][0] for r in results])
-    out["chunks"].append(len(results[1]))
-print(json.dumps(out))
-"""
-
-
-def test_spawned_workers_agree():
-    # With spawn, the search function and its shared arguments are pickled
-    # into the workers' initializer (the default start method on macOS).
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-c", _SPAWN_SCRIPT], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["clique"] == [[[0, 1, 4], None]] * 3
-    # the 13 roots of the K5 search went out in 13 chunks to 2 and 3 workers
-    assert out["chunks"] == [1, 13, 13]
-    # the normalized search runs in one process: check it against the oracle
-    part = power_cosets(make_field(97), 3)
-    assert tuple(out["normalized"]) == subset_witness(part, 5) == (1, 19, 20, 47)

@@ -279,17 +279,16 @@ def test_monotonicity_spot_checks():
         assert find_mono_clique(gf16, color, 4) is None
 
 
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_worker_determinism(workers):
+def test_clique_determinism():
     col = paley(13)
     # least mono triangle: {0, 1, 4}, differences 1, 4, 3 all squares mod 13
     assert brute_mono_clique(col, 1, 3) == (0, 1, 4)
-    assert find_mono_clique(col, 1, 3, workers=workers, symmetry=False) == (0, 1, 4)
-    assert find_mono_clique(col, 1, 5, workers=workers, symmetry=False) is None
+    assert find_mono_clique(col, 1, 3, symmetry=False) == (0, 1, 4)
+    assert find_mono_clique(col, 1, 5, symmetry=False) is None
     col241 = cubic(241)
-    assert find_mono_clique(col241, 1, 5, workers=workers) is None
-    # a passing search visits the same nodes however its roots are chunked
-    assert verify_witness(h50(), (3, 3, 3, 3), workers=workers).nodes == \
+    assert find_mono_clique(col241, 1, 5) is None
+    # a passing search visits the same nodes on every run
+    assert verify_witness(h50(), (3, 3, 3, 3)).nodes == \
         verify_witness(h50(), (3, 3, 3, 3)).nodes
 
 
@@ -299,7 +298,7 @@ def test_chain_verify_node_counts():
     # (h1493's candidate sets at that level reach hundreds)
     _, _, h481, h1493 = chain()
     assert verify_witness(h481, (3,) * 6, symmetry=False).nodes == 2760
-    report = verify_witness(h1493, (3,) * 7, workers=2, symmetry=False)
+    report = verify_witness(h1493, (3,) * 7, symmetry=False)
     assert report.passed and report.nodes == 10124
 
 
@@ -401,43 +400,6 @@ def test_symmetry_true_on_a_composed_witness():
             assert find_mono_clique(h, color, k, symmetry=True) == \
                 find_mono_clique(h, color, k, symmetry=False)
     assert verify_witness(h, (3, 3, 3, 3), symmetry=True).passed
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_forced_worker_pool_agrees(workers, monkeypatch):
-    # below MIN_ROOTS_PER_WORKER roots per worker a full scan runs in-process;
-    # with the threshold at 1 the pool starts, and must change nothing
-    import concurrent.futures
-
-    paley13 = paley(13).to_explicit()
-    cases = [(h50(), (3, 3, 3, 3)), (paley13, (3, 3)), (paley13, (5, 5))]
-    expected = [verify_witness(col, targets, symmetry=False) for col, targets in cases]
-    assert [r.cliques[0] for r in expected] == [None, (0, 1, 4), None]
-
-    started = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(verify, "MIN_ROOTS_PER_WORKER", 1)
-    for (col, targets), want in zip(cases, expected):
-        got = verify_witness(col, targets, workers=workers, symmetry=False)
-        assert (got.cliques, got.nodes) == (want.cliques, want.nodes)
-    # one pool per color of every case: 4 + 2 + 2
-    assert started == ([] if workers == 1 else [workers] * 8)
-
-
-def test_full_scan_below_the_threshold_starts_no_pool(monkeypatch):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started for a small full scan")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert verify_witness(h50(), (3, 3, 3, 3), workers=8).passed
 
 
 def test_verify_witness_pentagon():
