@@ -20,10 +20,10 @@ The text file format is line oriented and version tagged::
 followed, for circulant colorings, by ``field=<p>[^<k> poly=<c0,...,ck>]``
 and one ``color <i>: d1 d2 ...`` line per color (ascending canonical
 encodings), or, for explicit colorings, by n-1 lines where line i lists
-the colors of the edges {i, i+1} .. {i, n-1} in canonical decimal (no sign,
-no leading zero; the reader accepts nothing else), separated by
-whitespace.  Writing is canonical (single spaces), so a save/load round
-trip is byte exact.
+the colors of the edges {i, i+1} .. {i, n-1}, separated by whitespace.
+Colors and connection elements are in canonical decimal (ASCII digits,
+no sign, no leading zero; the reader accepts nothing else).  Writing is
+canonical (single spaces), so a save/load round trip is byte exact.
 
 One generator yields the canonical text as ASCII byte lines;
 ``dumps_coloring`` joins them, ``save_coloring`` writes them and
@@ -415,7 +415,13 @@ def _parse_circulant(n: int, num_colors: int, body: list[str]) -> CirculantColor
         prefix = f"color {i}:"
         if not line.startswith(prefix):
             raise FormatError(f"expected {prefix!r}, got {line!r}")
-        sets.append([int(tok) for tok in line[len(prefix):].split()])
+        tokens = line[len(prefix):].split()
+        elements = [int(tok) for tok in tokens]
+        # int() also reads signs, leading zeros and non-ASCII decimal digits
+        for tok, e in zip(tokens, elements):
+            if str(e) != tok:
+                raise FormatError(f"color {i}: element {tok!r} is not in canonical decimal")
+        sets.append(elements)
     return CirculantColoring(spec, sets)
 
 

@@ -229,6 +229,29 @@ def test_threads_flag_output_identical(tmp_path, capsys):
     assert outs[0].splitlines()[0].startswith("7: ")
 
 
+@pytest.mark.parametrize("command", ["primes", "build", "verify", "compose"])
+def test_threads_is_accepted_and_ignored(tmp_path, capsys, command):
+    # --threads N changes nothing: every command prints and writes the same
+    # with any N as without the flag
+    gf16, k2 = tmp_path / "gf16.col", tmp_path / "k2.col"
+    save_coloring(build_cayley_coloring(power_cosets(make_field(2, 4), 3)), gf16)
+    save_coloring(ExplicitColoring(2, 1, b"\x01"), k2)
+    argv = {"primes": ["--mod", "3", "--min", "2", "--max", "60"],
+            "build": ["-p", "13", "-m", "2", "-o"],
+            "verify": ["-i", str(_h50_file(tmp_path)), "--targets", "3,3,3,3"],
+            "compose": ["--t", str(gf16), "--g", str(k2),
+                        "--targets", "3", "-o"]}[command]
+    runs = []
+    for threads in ([], ["--threads", "1"], ["--threads", "64"]):
+        out_file = tmp_path / f"out{len(runs)}.col"
+        args = argv + [str(out_file)] if argv[-1] == "-o" else argv
+        code, out, err = run(capsys, command, *args, *threads)
+        runs.append((code, out.replace(str(out_file), "OUT"), err,
+                     out_file.read_bytes() if argv[-1] == "-o" else None))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 0 and runs[0][1]
+
+
 def _pentagon_file(tmp_path, capsys):
     path = tmp_path / "pentagon.coloring"
     assert run(capsys, "build", "-p", "5", "-m", "2", "-o", str(path))[0] == 0
@@ -238,8 +261,10 @@ def _pentagon_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "--targets", "3,x"], "--targets"),
     (["verify", "--targets", "3,3", "--threads", "0"], "--threads"),
+    (["verify", "--targets", "3,3", "--threads", "-2"], "--threads"),
+    (["verify", "--targets", "3,3", "--threads", "two"], "--threads"),
     (["search", "--galois", "2", "--mod", "3", "-t", "3"], "--galois"),
-], ids=["targets", "threads", "galois"])
+], ids=["targets", "threads", "threads-negative", "threads-not-int", "galois"])
 def test_malformed_argument_exits_2(tmp_path, capsys, argv, flag):
     path = _pentagon_file(tmp_path, capsys)
     if argv[0] == "verify":

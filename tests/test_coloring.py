@@ -223,6 +223,23 @@ def test_load_rejects_non_ascii_digits():
                        "field=\u0665\ncolor 1: 1 4\ncolor 2: 2 3\n")
 
 
+@pytest.mark.parametrize("token", ["\u0661", "01", "+1"])
+def test_load_rejects_non_canonical_connection_element(token):
+    # int() reads each of these as 1; the color lines hold canonical decimal,
+    # as save_coloring writes them
+    with pytest.raises(FormatError, match="color 1: element .* canonical decimal"):
+        loads_coloring("ramsey-coloring v1\nn=5 colors=2 repr=circulant\n"
+                       f"field=5\ncolor 1: {token} 4\ncolor 2: 2 3\n")
+
+
+@pytest.mark.parametrize("size", ["n={} colors=1", "n=3 colors={}"])
+def test_size_line_of_too_many_digits_is_a_format_error(size):
+    # int() refuses strings of more than 4300 digits with a ValueError
+    with pytest.raises(FormatError, match="digits"):
+        loads_coloring(f"ramsey-coloring v1\n{size.format('9' * 5000)} repr=explicit\n"
+                       "1 1\n1\n")
+
+
 def test_single_edge_coloring_round_trip():
     k2 = ExplicitColoring(2, 1, b"\x01")
     text = dumps_coloring(k2)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseykit import parallel
+from ramseykit import build_cayley_coloring, make_field, parallel, power_cosets
 from ramseykit.parallel import _DENSE, _search_roots, orbit_search
 
 from helpers import loop_search_roots
@@ -150,3 +150,57 @@ def test_only_triangle_through_the_top_candidate(monkeypatch, low, upper):
         == ((0, low, top), 2)
     assert len(calls) == 1
 
+
+
+def _triangles_at(hits, n=100):
+    """Rows on roots 0..n-1, each adjacent to two partners of its own above
+    n, which are adjacent to each other only for the roots in ``hits``: one
+    search node per root without a triangle, two for a root with one."""
+    rows = [0] * (3 * n)
+    for r in range(n):
+        a, b = n + 2 * r, n + 2 * r + 1
+        edges = [(r, a), (r, b)] + [(a, b)] * (r in hits)
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("hits, want", [
+    ({99}, ((99, 298, 299), 101)),           # only at the last root
+    ({95, 60, 17}, ((17, 134, 135), 19)),    # the least root wins
+    (set(), (None, 100)),                    # no hit: every root is searched
+], ids=["last-root", "least-root", "no-hit"])
+def test_roots_are_searched_in_order(hits, want, upper):
+    rows = _triangles_at(hits)
+    if upper:
+        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+    assert _search_roots(rows, 3, range(100)) == loop_search_roots(rows, 3, range(100)) \
+        == want
+
+
+def _paley17():
+    paley = build_cayley_coloring(power_cosets(make_field(17), 2)).to_explicit()
+    return paley.neighbor_rows(1)
+
+
+@pytest.mark.parametrize("graph, k, n, split, clique", [
+    (_paley17, 4, 17, 1, None),       # Paley(17) has no K4
+    (_paley17, 4, 17, 9, None),
+    (lambda: _triangles_at({60, 95}), 3, 100, 60, (60, 220, 221)),  # hit in the tail
+    (lambda: _triangles_at({60, 95}), 3, 100, 61, (60, 220, 221)),  # hit in the head
+], ids=["paley17-1", "paley17-9", "triangles-60", "triangles-61"])
+def test_a_scan_in_two_parts_adds_up(graph, k, n, split, clique):
+    # the node count of a scan is the sum over the roots it searches, so it
+    # does not depend on how the roots are grouped
+    rows = graph()
+    whole = _search_roots(rows, k, range(n))
+    head = _search_roots(rows, k, range(split))
+    if head[0] is None:
+        tail = _search_roots(rows, k, range(split, n))
+        assert whole == (tail[0], head[1] + tail[1])
+    else:
+        assert whole == head
+    assert whole[0] == clique
+    assert whole == loop_search_roots(rows, k, range(n))
