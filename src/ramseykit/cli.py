@@ -11,11 +11,34 @@ import argparse
 import os
 import sys
 
-from .coloring import FormatError, build_cayley_coloring, load_coloring, save_coloring
-from .construct import CompositionError, CompositionInput, chung_compose
 from .field import _iter_orders, make_field
-from .residues import find_normalized_clique, negation_closed, power_cosets
-from .verify import certify
+from .records import CompositionError, FormatError
+
+_package = sys.modules[__package__]
+
+
+def _deferred(name: str):
+    """A stand-in for the package's ``name`` that looks it up when called:
+    the first call loads the module that defines it, so a run compiles only
+    the modules its command needs.  The stand-ins are bound when ``cli`` is
+    imported, so a value set on the module replaces one, and a traced replay
+    that wraps one puts the same object back."""
+
+    def call(*args, **kwargs):
+        return getattr(_package, name)(*args, **kwargs)
+
+    return call
+
+
+power_cosets = _deferred("power_cosets")
+negation_closed = _deferred("negation_closed")
+find_normalized_clique = _deferred("find_normalized_clique")
+build_cayley_coloring = _deferred("build_cayley_coloring")
+save_coloring = _deferred("save_coloring")
+load_coloring = _deferred("load_coloring")
+CompositionInput = _deferred("CompositionInput")
+chung_compose = _deferred("chung_compose")
+certify = _deferred("certify")
 
 EXIT_PASS = 0
 EXIT_REFUTED = 1

@@ -56,7 +56,7 @@ from __future__ import annotations
 import re
 
 from .field import FieldSpec
-from .residues import CosetPartition, negation_closed
+from .records import FormatError
 
 HEADER = "ramsey-coloring v1"
 MAX_VERTICES = 1 << 15
@@ -65,10 +65,6 @@ MAX_COLORS = 255
 # file of the 4634-vertex witness, and small beside the triangle of a 481-vertex one
 _CHUNK = 1 << 14
 _BLOCK = 1 << 12  # triangle bytes whose colors are checked at a time
-
-
-class FormatError(ValueError):
-    """Raised for malformed or inconsistent coloring files."""
 
 
 class EdgeColoring:
@@ -272,12 +268,16 @@ def _color_bits(color: int) -> bytes:
     return bytes(bits)
 
 
-def build_cayley_coloring(partition: CosetPartition) -> CirculantColoring:
+def build_cayley_coloring(partition: residues.CosetPartition) -> CirculantColoring:
     """Color K_n over the field by coset membership of the vertex difference.
 
     Edge {u, v} gets color 1 + (coset index of v - u); requires -1 to be a
     residue so the choice of difference direction does not matter.
     """
+    # imported on the call, not with the module: verify and compose load
+    # colorings without residues, and a partition comes from residues
+    from .residues import negation_closed
+
     if not negation_closed(partition):
         raise ValueError(
             "-1 is not an m-th power residue, so edge colors would depend on "
@@ -380,12 +380,19 @@ def _parse(lines) -> EdgeColoring:
     meta = _META_RE.match(size)
     if not meta:
         raise FormatError(f"malformed size line: {size!r}")
+    explicit = meta.group(3) == "explicit"
     try:
         # inside the try: int() of more than 4300 digits raises ValueError
         n, num_colors = int(meta.group(1)), int(meta.group(2))
-        if meta.group(3) == "circulant":
-            return _parse_circulant(n, num_colors, list(lines))
-        return _parse_explicit(n, num_colors, lines)
+        # before any row is read; a circulant n is checked against its field
+        # (``build`` writes circulant colorings of more than MAX_VERTICES)
+        if explicit and not 1 <= n <= MAX_VERTICES:
+            raise FormatError(f"vertex count must be in [1, {MAX_VERTICES}]")
+        if not 1 <= num_colors <= MAX_COLORS:
+            raise FormatError(f"need between 1 and {MAX_COLORS} colors")
+        if explicit:
+            return _parse_explicit(n, num_colors, lines)
+        return _parse_circulant(n, num_colors, list(lines))
     except FormatError:
         raise
     except ValueError as exc:

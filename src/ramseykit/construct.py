@@ -33,20 +33,8 @@ R(3,3,3,k_1,...,k_r) >= 3*(nT+1) + (nG+1) - 3.
 from __future__ import annotations
 
 from .coloring import MAX_COLORS, MAX_VERTICES, EdgeColoring, ExplicitColoring
-from .records import record
+from .records import CompositionError, record
 from . import verify as verify_mod
-
-
-class CompositionError(ValueError):
-    """An input failed validation: it contains a forbidden monochromatic clique."""
-
-    def __init__(self, which: str, color: int, clique: tuple[int, ...]):
-        self.which = which
-        self.color = color
-        self.clique = clique
-        super().__init__(
-            f"{which} input is not a valid witness: color {color} contains the "
-            f"clique {','.join(map(str, clique))}")
 
 
 class BlockMap(record("BlockMap", "diag color1 color2")):

@@ -6,6 +6,10 @@ class's methods from source text; every command would pay that at start-up.
 A record compares equal only to a record of its own class with equal
 fields, as a frozen dataclass does, and hashes as the tuple of its fields.
 Subclasses validate in ``__new__`` and declare ``__slots__ = ()``.
+
+The two error classes that ``cli.main`` turns into exit codes live here too,
+so that catching them loads no module a command does not run; ``coloring``
+and ``construct`` re-export them.
 """
 
 from collections import namedtuple
@@ -25,3 +29,19 @@ def record(typename: str, field_names: str, defaults=()):
     base = namedtuple(typename, field_names, defaults=defaults)
     base.__eq__, base.__ne__, base.__hash__ = _eq, _ne, tuple.__hash__
     return base
+
+
+class FormatError(ValueError):
+    """Raised for malformed or inconsistent coloring files."""
+
+
+class CompositionError(ValueError):
+    """An input failed validation: it contains a forbidden monochromatic clique."""
+
+    def __init__(self, which: str, color: int, clique: tuple[int, ...]):
+        self.which = which
+        self.color = color
+        self.clique = clique
+        super().__init__(
+            f"{which} input is not a valid witness: color {color} contains the "
+            f"clique {','.join(map(str, clique))}")

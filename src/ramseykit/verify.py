@@ -84,8 +84,6 @@ A full scan (method ``full``) searches from every root, in one process.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .coloring import EdgeColoring, FormatError, coloring_digest
 from .field import generator_powers, multiplicative_generator
 from .parallel import _search_roots, orbit_search
@@ -382,14 +380,16 @@ def certify(coloring: EdgeColoring, targets, out=None, *,
         cert = RamseyCertificate(report.targets, coloring.n, False, sha,
                                  clique_color=color, clique=report.cliques[color - 1])
     if out is not None:
-        Path(out).write_text(cert.to_text(), encoding="ascii")
+        with open(out, "w", encoding="ascii") as stream:
+            stream.write(cert.to_text())
     return cert
 
 
 def read_certificate(source) -> RamseyCertificate:
     """Parse a certificate file back into a RamseyCertificate."""
     try:
-        lines = Path(source).read_text(encoding="ascii").splitlines()
+        with open(source, encoding="ascii") as stream:
+            lines = stream.read().splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError("certificate files are ASCII text") from exc
     except OSError as exc:

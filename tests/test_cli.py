@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+from ast import literal_eval
+from importlib import import_module
 from importlib.util import find_spec
 from pathlib import Path
 
@@ -149,9 +151,12 @@ def test_verify_refuted_exits_1(tmp_path, capsys):
     assert out == "FAIL color=1 clique=0,1,2\n"
 
 
-def test_verify_malformed_file_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["not a coloring\n",
+                                  "ramsey-coloring v1\nn=40000 colors=1 repr=explicit\n",
+                                  "ramsey-coloring v1\nn=3 colors=0 repr=explicit\n"])
+def test_verify_malformed_file_exits_4(tmp_path, capsys, text):
     path = tmp_path / "bad.coloring"
-    path.write_text("not a coloring\n")
+    path.write_text(text)
     code, _, err = run(capsys, "verify", "-i", str(path), "--targets", "3")
     assert code == 4
     assert "error" in err
@@ -323,13 +328,30 @@ def test_orders_stream_to_a_closed_stdout():
 def test_import_loads_no_pool_or_hashlib():
     # importing the CLI loads no process pool module and takes no digest
     src = Path(__file__).resolve().parent.parent / "src"
-    # nor for dataclasses, which imports inspect, ast and dis
+    # nor for dataclasses, which imports inspect, ast and dis; of the
+    # package it loads what every command runs, and nothing else
     script = ("import sys, ramseykit.cli\n"
               "print([m for m in ('multiprocessing', 'concurrent.futures', 'hashlib',"
-              " 'dataclasses', 'inspect') if m in sys.modules])")
+              " 'dataclasses', 'inspect') if m in sys.modules])\n"
+              "print(sorted(m for m in sys.modules if m.startswith('ramseykit')))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "[]\n['ramseykit', 'ramseykit.cli', 'ramseykit.field', 'ramseykit.records']\n",
+        "")
+
+
+def test_package_names_are_the_defining_modules_objects():
+    import ramseykit
+
+    for name in ramseykit.__all__:
+        module = import_module(f"ramseykit.{ramseykit._ORIGIN[name]}")
+        value = getattr(ramseykit, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert set(ramseykit.__all__) <= set(dir(ramseykit))
+    with pytest.raises(AttributeError):
+        ramseykit.no_such_name
 
 
 def _h50_file(tmp_path):
@@ -340,19 +362,22 @@ def _h50_file(tmp_path):
     return path
 
 
-def _verify_in_a_fresh_interpreter(argv):
-    """``main(argv)`` in a new interpreter: its stdout, then the exit code
-    and which of ``hashlib``, OpenSSL's ``_hashlib`` and the process pool
-    modules were imported."""
+def _main_in_a_fresh_interpreter(argv):
+    """``main(argv)`` in a new interpreter without ``site`` (``python -S``;
+    site hooks may import ``pathlib``): its stdout, its exit code, which of
+    ``hashlib``, OpenSSL's ``_hashlib``, the process pool modules and
+    ``pathlib`` were imported, and the ``ramseykit`` modules loaded."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = ("import sys\nfrom ramseykit.cli import main\n"
               f"code = main({argv!r})\n"
-              "print(code, [m for m in ('hashlib', '_hashlib', 'multiprocessing',"
-              " 'concurrent.futures') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+              "print((code, [m for m in ('hashlib', '_hashlib', 'multiprocessing',"
+              " 'concurrent.futures', 'pathlib') if m in sys.modules],"
+              " sorted(m for m in sys.modules if m.startswith('ramseykit'))))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.stderr == "" and proc.returncode == 0
-    return proc.stdout
+    out, _, last = proc.stdout[:-1].rpartition("\n")
+    return (out + "\n" if out else "", *literal_eval(last))
 
 
 def test_verify_without_cert_takes_no_digest(tmp_path):
@@ -360,25 +385,28 @@ def test_verify_without_cert_takes_no_digest(tmp_path):
     # the file (with --cert the digest avoids hashlib and OpenSSL too: see
     # the next test)
     path = _h50_file(tmp_path)
-    assert _verify_in_a_fresh_interpreter(
-        ["verify", "-i", str(path), "--targets", "3,3,3,3"]) == \
-        "PASS R(3,3,3,3)>=51\n0 []\n"
+    assert _main_in_a_fresh_interpreter(
+        ["verify", "-i", str(path), "--targets", "3,3,3,3"])[:3] == \
+        ("PASS R(3,3,3,3)>=51\n", 0, [])
 
 
 @pytest.mark.skipif(not any(map(find_spec, ["_sha256", "_sha2"])),  # up to 3.11, from 3.12
                     reason="no built-in SHA-256 module: the digest falls back to hashlib")
 def test_verify_with_cert_loads_no_openssl(tmp_path):
     # the certificate's digest comes from the interpreter's own SHA-256
-    # module, so neither hashlib nor OpenSSL's _hashlib is imported
+    # module, so neither hashlib nor OpenSSL's _hashlib is imported, and the
+    # certificate is written without pathlib
     path = _h50_file(tmp_path)
     cert = tmp_path / "h50.cert"
-    assert _verify_in_a_fresh_interpreter(
-        ["verify", "-i", str(path), "--targets", "3,3,3,3", "--cert", str(cert)]) == \
-        "PASS R(3,3,3,3)>=51\n0 []\n"
+    assert _main_in_a_fresh_interpreter(
+        ["verify", "-i", str(path), "--targets", "3,3,3,3", "--cert", str(cert)])[:3] == \
+        ("PASS R(3,3,3,3)>=51\n", 0, [])
     import hashlib
 
-    assert read_certificate(cert).coloring_sha == \
-        hashlib.sha256(path.read_bytes()).hexdigest()
+    assert cert.read_bytes() == (
+        "ramsey-certificate v1\ntargets=3,3,3,3\nn=50\nverdict=pass\n"
+        "bound=R(3,3,3,3)>=51\n"
+        f"coloring-sha={hashlib.sha256(path.read_bytes()).hexdigest()}\n").encode()
 
 
 def test_full_scan_of_2048_vertices_starts_no_pool(tmp_path):
@@ -388,10 +416,80 @@ def test_full_scan_of_2048_vertices_starts_no_pool(tmp_path):
     n = 2048
     path = tmp_path / "k2048.col"
     save_coloring(ExplicitColoring(n, 1, b"\x01" * (n * (n - 1) // 2)), path)
-    outs = [_verify_in_a_fresh_interpreter(
-        ["verify", "-i", str(path), "--targets", "3", "--threads", threads])
+    outs = [_main_in_a_fresh_interpreter(
+        ["verify", "-i", str(path), "--targets", "3", "--threads", threads])[:3]
         for threads in ("1", "2")]
-    assert outs[0] == outs[1] == "FAIL color=1 clique=0,1,2\n1 []\n"
+    assert outs[0] == outs[1] == ("FAIL color=1 clique=0,1,2\n", 1, [])
+
+
+# what each command loads of the package, besides ramseykit itself
+_PRIMES = {"cli", "field", "records"}
+_SEARCH = _PRIMES | {"residues", "parallel"}
+_VERIFY = _PRIMES | {"coloring", "verify", "parallel"}  # no residues, no construct
+_COMMAND_MODULES = {
+    "primes": _PRIMES,
+    "search": _SEARCH,
+    "build": _SEARCH | {"coloring"},
+    "verify": _VERIFY,
+    "compose": _VERIFY | {"construct"},  # no residues
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    z13, gf16, k2 = (tmp_path / name for name in ("z13.col", "gf16.col", "k2.col"))
+    save_coloring(build_cayley_coloring(power_cosets(make_field(13), 3)), z13)
+    save_coloring(build_cayley_coloring(power_cosets(make_field(2, 4), 3)), gf16)
+    save_coloring(ExplicitColoring(2, 1, b"\x01"), k2)
+    argv = {
+        "primes": ["primes", "--mod", "3", "--min", "2", "--max", "20"],
+        "search": ["search", "--mod", "3", "-t", "5", "--min", "241", "--max", "241"],
+        "build": ["build", "-p", "13", "-m", "3", "-o", str(tmp_path / "out.col")],
+        "verify": ["verify", "-i", str(z13), "--targets", "3,3,3",
+                   "--cert", str(tmp_path / "z13.cert")],
+        "compose": ["compose", "--t", str(gf16), "--g", str(k2), "--targets", "3",
+                    "-o", str(tmp_path / "h50.col")],
+    }[command]
+    _, code, _, modules = _main_in_a_fresh_interpreter(argv)
+    assert code == 0
+    assert modules == sorted({"ramseykit"} | {f"ramseykit.{m}" for m in
+                                              _COMMAND_MODULES[command]})
+
+
+# the names the commands look up on ``cli``, and a command that calls each
+_CALLED_BY = {
+    "make_field": "build", "power_cosets": "search", "negation_closed": "search",
+    "find_normalized_clique": "search", "build_cayley_coloring": "build",
+    "save_coloring": "build", "load_coloring": "verify", "certify": "verify",
+    "CompositionInput": "compose", "chung_compose": "compose",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CALLED_BY))
+def test_a_value_set_on_cli_is_what_the_command_calls(tmp_path, capsys, monkeypatch, name):
+    # a tracer or a test wraps these names where the commands look them up
+    import ramseykit.cli as cli
+
+    gf16, k2 = tmp_path / "gf16.col", tmp_path / "k2.col"
+    save_coloring(build_cayley_coloring(power_cosets(make_field(2, 4), 3)), gf16)
+    save_coloring(ExplicitColoring(2, 1, b"\x01"), k2)
+    original, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    argv = {
+        "search": ["search", "--mod", "3", "-t", "4", "--min", "13", "--max", "13"],
+        "build": ["build", "-p", "13", "-m", "3", "-o", str(tmp_path / "z13.col")],
+        "verify": ["verify", "-i", str(gf16), "--targets", "3,3,3"],
+        "compose": ["compose", "--t", str(gf16), "--g", str(k2), "--targets", "3",
+                    "-o", str(tmp_path / "h50.col")],
+    }[_CALLED_BY[name]]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == [name]
 
 
 def test_size_line_of_too_many_digits_exits_4(tmp_path, capsys):

@@ -240,6 +240,34 @@ def test_size_line_of_too_many_digits_is_a_format_error(size):
                        "1 1\n1\n")
 
 
+_VERTICES = "vertex count must be in [1, 32768]"
+_COLORS = "need between 1 and 255 colors"
+
+
+@pytest.mark.parametrize("size,message", [
+    ("n=0 colors=1 repr=explicit", _VERTICES),
+    ("n=40000 colors=1 repr=explicit", _VERTICES),
+    ("n=3 colors=0 repr=explicit", _COLORS),
+    ("n=3 colors=256 repr=explicit", _COLORS),
+    ("n=5 colors=0 repr=circulant", _COLORS),
+    ("n=5 colors=256 repr=circulant", _COLORS),
+])
+def test_size_line_out_of_range_is_reported_before_the_rows(size, message):
+    # the rows below would be wrong for every size: the size line's own
+    # fault is the one reported, with the constructors' message
+    with pytest.raises(FormatError) as exc:
+        loads_coloring(f"ramsey-coloring v1\n{size}\n1 1\n1\n")
+    assert str(exc.value) == message
+
+
+def test_circulant_coloring_of_more_than_max_vertices_round_trips():
+    # the explicit bound does not apply to circulant files: build writes
+    # them for any field order
+    col = build_cayley_coloring(power_cosets(make_field(65537), 2))
+    back = loads_coloring(dumps_coloring(col))
+    assert (back.n, back.connection_sets) == (65537, col.connection_sets)
+
+
 def test_single_edge_coloring_round_trip():
     k2 = ExplicitColoring(2, 1, b"\x01")
     text = dumps_coloring(k2)
