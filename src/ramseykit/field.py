@@ -464,12 +464,23 @@ def generator_powers(spec: FieldSpec, g: int) -> list[int]:
     """g^0, g^1, ..., g^(N-2) for the field of order N, by one walk of N - 1
     multiplications.  The walk is checked, not trusted: it must come back to
     1 after exactly N - 1 steps without repeating an element, so g generates
-    the multiplicative group; otherwise AssertionError.  For the least
-    generator of GF(p^k) this is the (already checked) antilog table itself,
-    not a copy: do not modify it."""
+    the multiplicative group; otherwise AssertionError.  Z_p walks in a
+    bare loop and checks it after; only a walk that fails is retraced by
+    ``_walk``, for its error.  For the least generator of GF(p^k) this is
+    the (already checked) antilog table itself, not a copy: do not modify
+    it."""
     if spec.degree == 1:
         p = spec.characteristic
-        return _walk(lambda x: x * g % p, p, g)
+        powers, x = [1], 1
+        append = powers.append
+        for _ in range(p - 2):
+            x = x * g % p
+            append(x)
+        # back at 1 after p - 1 steps and not before: then g has order p - 1,
+        # and its p - 1 powers are distinct
+        if x * g % p == 1 and powers.count(1) == 1:
+            return powers
+        return _walk(lambda x: x * g % p, p, g)  # raises: g is no generator
     if g == spec._tables.g:
         return spec._tables.exp
     return _walk(functools.partial(spec.mul, g), spec.order, g)

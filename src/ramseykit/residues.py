@@ -11,8 +11,18 @@ clique into the coset containing 1.)  This module searches for such
 witnesses directly, which is dramatically cheaper than clique search on
 the full coloring: one process runs the bitset clique kernel of
 ``parallel`` on the difference rows of the sieved residues, built on
-first use.  Coset labels come from one walk over the powers of the least
-generator g: g^i lies in coset i mod m.
+first use.
+
+Everything comes from one checked walk over the powers g^i of the least
+generator g: g^i lies in coset i mod m, so the residues are H = g^0, g^m,
+g^2m, ..., the powers h^a of h = g^m.  The search works on the exponents
+a, with no field operation per row.  One string z over the exponents has
+z[a] = "1" iff h^a - 1 is a residue; it gives the sieve (the h^a with
+z[a] = "1") and every difference row.  For sieved x = h^a and y = h^b,
+y - x = x (h^(b - a) - 1) is a residue iff z[(b - a) mod |H|] is "1", so
+row x is one gather at the sieved exponents from z rotated by a.  A
+partition builds its labels and sorted cosets only when something reads
+them; the search reads neither.
 
 Whether a witness exists is decided first, by one root per orbit of the
 anharmonic group <x -> 1 - x, x -> 1/x> (isomorphic to S_3) on the sieved
@@ -26,13 +36,22 @@ every root run, for the least witness.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import compress
+from operator import itemgetter
+
 from .field import FieldSpec, generator_powers, multiplicative_generator
 from .parallel import _search_roots, orbit_search
 from .records import record
 
 _NO_LABEL = 255
-# Coset label -> "1" for the residues (label 0), "0" for the rest
-_RESIDUE_BIT = bytes([ord("1")] + [ord("0")] * 255)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # false/true bytes to "0"/"1" digits
+
+
+def _decrement(p: int, xs) -> list[int]:
+    """x - 1 for each nonzero x of a field of characteristic p: one off the
+    constant digit, which wraps from 0 to p - 1."""
+    return [x - 1 if x % p else x + p - 1 for x in xs]
 
 
 class CosetPartition:
@@ -42,21 +61,17 @@ class CosetPartition:
     ``cosets[i]`` is g^i times it, where g is the least multiplicative
     generator.  With that labeling, multiplying elements of cosets i and j
     always lands in coset (i + j) mod m.
+
+    ``powers`` is the checked walk g^0, ..., g^(N-2) (for GF(p^k) the
+    field's antilog table itself: do not modify it).  The labels, the
+    cosets and the search's exponent tables are built from it on first
+    read.
     """
 
-    __slots__ = ("field", "m", "cosets", "_labels")
-
-    def __init__(self, field: FieldSpec, m: int, cosets, labels: bytes):
+    def __init__(self, field: FieldSpec, m: int, powers):
         self.field = field
         self.m = m
-        self.cosets = cosets
-        self._labels = labels
-
-    def __getstate__(self):
-        return self.field, self.m, self.cosets, self._labels
-
-    def __setstate__(self, state):
-        self.field, self.m, self.cosets, self._labels = state
+        self.powers = powers
 
     def __eq__(self, other):
         if not isinstance(other, CosetPartition):
@@ -65,6 +80,31 @@ class CosetPartition:
 
     def __repr__(self):
         return f"CosetPartition({self.field}, m={self.m})"
+
+    @cached_property
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        m = self.m
+        return tuple(tuple(sorted(self.powers[i::m])) for i in range(m))
+
+    @cached_property
+    def _labels(self) -> bytes:
+        """Coset label of each element, ``_NO_LABEL`` at 0."""
+        labels = bytearray([_NO_LABEL]) * self.field.order
+        for i, x in enumerate(self.powers):
+            labels[x] = i % self.m
+        return bytes(labels)
+
+    @cached_property
+    def _log(self) -> dict[int, int]:
+        """Residue h^a -> a, h = g^m, in walk order."""
+        residues = self.powers[::self.m]
+        return dict(zip(residues, range(len(residues))))
+
+    @cached_property
+    def _less_one(self) -> bytes:
+        """Byte a is 1 iff h^a - 1 is a residue, else 0."""
+        log = self._log
+        return bytes(map(log.__contains__, _decrement(self.field.characteristic, log)))
 
     @property
     def residues(self) -> tuple[int, ...]:
@@ -78,7 +118,7 @@ class CosetPartition:
         return label
 
     def is_residue(self, x: int) -> bool:
-        return self._labels[x] == 0
+        return x in self._log
 
 
 def power_cosets(field: FieldSpec, m: int) -> CosetPartition:
@@ -88,15 +128,7 @@ def power_cosets(field: FieldSpec, m: int) -> CosetPartition:
         raise ValueError("m must be in [2, 254]")
     if (n - 1) % m:
         raise ValueError(f"{m} does not divide {n - 1} = |{field}*|")
-
-    # g^i lies in coset i mod m; one walk of n - 1 steps labels every element
-    labels = bytearray([_NO_LABEL]) * n
-    for i, x in enumerate(generator_powers(field, multiplicative_generator(field))):
-        labels[x] = i % m
-    cosets = [[] for _ in range(m)]
-    for x in range(1, n):
-        cosets[labels[x]].append(x)
-    return CosetPartition(field, m, tuple(map(tuple, cosets)), bytes(labels))
+    return CosetPartition(field, m, generator_powers(field, multiplicative_generator(field)))
 
 
 def negation_closed(partition: CosetPartition) -> bool:
@@ -105,8 +137,11 @@ def negation_closed(partition: CosetPartition) -> bool:
     Always true for odd m; for even m it depends on the field (e.g. for
     m = 2 and prime p it holds exactly when p = 1 mod 4).  When false,
     coloring edges by the coset of the vertex difference is ill-defined.
+    -1 = 1 in characteristic 2, and -1 = g^((N-1)/2) otherwise, which lies
+    in coset (N-1)/2 mod m.
     """
-    return partition.is_residue(partition.field.neg(1))
+    field = partition.field
+    return field.characteristic == 2 or (field.order - 1) // 2 % partition.m == 0
 
 
 def sieve(partition: CosetPartition) -> list[int]:
@@ -114,11 +149,10 @@ def sieve(partition: CosetPartition) -> list[int]:
 
     These are the only possible members of a normalized witness: each
     witness element B must itself be a residue (difference from vertex 0)
-    and B - 1 must be one too (difference from vertex 1).
+    and B - 1 must be one too (difference from vertex 1).  (1 - 1 = 0 is
+    not a residue, so 1 is never kept.)
     """
-    f = partition.field
-    labels = partition._labels
-    return [r for r in partition.cosets[0] if r != 1 and labels[f.sub(r, 1)] == 0]
+    return sorted(compress(partition._log, partition._less_one))
 
 
 class NormalizedWitness(record("NormalizedWitness", "t elements")):
@@ -148,45 +182,54 @@ class NormalizedWitness(record("NormalizedWitness", "t elements")):
 
 class _DiffRows(dict):
     """Row i: bitmask of the indices j > i with sv[j] - sv[i] a residue,
-    built on first use (a witness often turns up after a handful of rows)."""
+    built on first use (a witness often turns up after a handful of rows).
+    With sv[i] = h^a, bit j is z[(log sv[j] - a) mod |H|]: one gather at
+    the sieved exponents from z rotated by a."""
 
-    def __init__(self, field: FieldSpec, labels: bytes, sv: tuple[int, ...]):
+    def __init__(self, partition: CosetPartition, sv: tuple[int, ...]):
         super().__init__()
-        self.field, self.labels, self.sv = field, labels, sv
+        z = partition._less_one.translate(_DIGITS).decode()
+        self.size, self.zz = len(z), z + z
+        self.exps = list(map(partition._log.__getitem__, sv))
+        # the highest index is the leading binary digit; a single exponent
+        # gathers one character, not a tuple, which join takes the same way
+        self.gather = itemgetter(*reversed(self.exps))
 
     def __missing__(self, i: int) -> int:
-        f, x = self.field, self.sv[i]
-        if f.degree == 1:
-            minus = x.__rsub__  # sv ascends, so y - x needs no reduction
-        else:
-            def minus(y):
-                return f.sub(y, x)
-        diffs = bytes(map(self.labels.__getitem__, map(minus, self.sv[i + 1:])))
-        row = self[i] = int(b"0" + diffs[::-1].translate(_RESIDUE_BIT), 2) << (i + 1)
+        shift = self.size - self.exps[i]  # rotated[e] = z[(e - a) mod |H|]
+        bits = "".join(self.gather(self.zz[shift:shift + self.size]))
+        row = self[i] = int(bits, 2) >> (i + 1) << (i + 1)
         return row
 
 
-def _flip(field: FieldSpec, x: int) -> int:
-    return field.sub(1, x)
+def _flip(partition: CosetPartition, sv) -> list[int]:
+    """Exponents of 1 - x = -1 * (x - 1) for x in ``sv``; -1 is the
+    constant p - 1."""
+    p, log = partition.field.characteristic, partition._log
+    minus = log[p - 1]
+    return [(log[y] + minus) % len(log) for y in _decrement(p, sv)]
 
 
-def _reciprocal(field: FieldSpec, x: int) -> int:
-    return field.inv(x)
+def _reciprocal(partition: CosetPartition, sv) -> list[int]:
+    """Exponents of 1/x = h^-a for x = h^a in ``sv``."""
+    log = partition._log
+    return [-log[x] % len(log) for x in sv]
 
 
-def anharmonic_orbits(field: FieldSpec, sv) -> list[tuple[int, list[int]]]:
+def anharmonic_orbits(partition: CosetPartition, sv) -> list[tuple[int, list[int]]]:
     """Orbits of <x -> 1 - x, x -> 1/x> on the ascending sieved list ``sv``,
     as (least index, member indices), least first.  Each map must send
     ``sv`` to itself and undo itself (an O(|sv|) check); otherwise
-    AssertionError."""
-    index = {x: i for i, x in enumerate(sv)}
+    AssertionError.  The maps work on exponents to base h (``_flip``,
+    ``_reciprocal``), with no field operation."""
+    index = dict(zip(map(partition._log.__getitem__, sv), range(len(sv))))
     maps = []
     for phi in (_flip, _reciprocal):
-        image = [index.get(phi(field, x), -1) for x in sv]
+        image = [index.get(e, -1) for e in phi(partition, sv)]
         for i, j in enumerate(image):
             if j < 0 or image[j] != i:
                 raise AssertionError(f"{phi.__name__} is not an involution of the "
-                                     f"sieved residues of {field} at {sv[i]}")
+                                     f"sieved residues of {partition.field} at {sv[i]}")
         maps.append(image)
     placed = [False] * len(sv)
     orbits = []
@@ -223,12 +266,12 @@ def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitne
             "and the normalized search does not apply")
     sv = tuple(sieve(partition))
     need = t - 2
+    found = None
     if need == 1:  # the kernel needs cliques of two or more
         found = (0,) if sv else None
-    else:
-        rows = _DiffRows(partition.field, partition._labels, sv)
-        found = None
-        hit, _ = orbit_search(rows, need, anharmonic_orbits(partition.field, sv))
+    elif sv:
+        rows = _DiffRows(partition, sv)
+        hit, _ = orbit_search(rows, need, anharmonic_orbits(partition, sv))
         if hit:
             found, _ = _search_roots(rows, need, range(len(sv) - need + 1))
     if found is None:

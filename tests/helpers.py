@@ -209,18 +209,38 @@ def poly_inv(spec, a):
     return result
 
 
+class FieldDiffRows(dict):
+    """Row i: bitmask of the indices j > i with sv[j] - sv[i] a residue, by
+    one field subtraction and one residue test per pair, built on first use:
+    the difference rows as the residues module built them before it
+    gathered them from exponents."""
+
+    def __init__(self, partition, sv):
+        super().__init__()
+        self.partition, self.sv = partition, sv
+
+    def __missing__(self, i):
+        part, x = self.partition, self.sv[i]
+        row = 0
+        for j in range(i + 1, len(self.sv)):
+            if part.is_residue(part.field.sub(self.sv[j], x)):
+                row |= 1 << j
+        self[i] = row
+        return row
+
+
 def plain_witness(partition, t):
     """Elements of the least normalized K_t witness, or None, by the ascending
-    search over every root without the anharmonic orbit pruning."""
+    search over every root of the field-arithmetic rows, without the
+    anharmonic orbit pruning."""
     from ramseykit.parallel import _search_roots
-    from ramseykit.residues import _DiffRows, sieve
+    from ramseykit.residues import sieve
 
     sv = tuple(sieve(partition))
     need = t - 2
     if need == 1:
         return (1, sv[0]) if sv else None
-    rows = _DiffRows(partition.field, partition._labels, sv)
-    found, _ = _search_roots(rows, need, range(len(sv) - need + 1))
+    found, _ = _search_roots(FieldDiffRows(partition, sv), need, range(len(sv) - need + 1))
     return None if found is None else (1,) + tuple(sv[i] for i in found)
 
 

@@ -7,6 +7,7 @@ from ramseykit.parallel import _search_roots, orbit_search
 from ramseykit.residues import (
     NormalizedWitness,
     _DiffRows,
+    _flip,
     anharmonic_orbits,
     find_normalized_clique,
     negation_closed,
@@ -14,7 +15,13 @@ from ramseykit.residues import (
     sieve,
 )
 
-from helpers import brute_has_mono_clique, plain_witness, subset_witness, translate_cosets
+from helpers import (
+    FieldDiffRows,
+    brute_has_mono_clique,
+    plain_witness,
+    subset_witness,
+    translate_cosets,
+)
 from known_colorings import COLOR_CLASSES_241
 
 
@@ -179,21 +186,33 @@ def _oracle_cases():
 
 def test_walk_and_clique_search_match_oracles():
     # every admissible prime below 400 and ten Galois fields up to GF(2^10),
-    # m in {2, 3, 4}, t in 3..7: cosets, labels and least witnesses agree
-    # with the translate-and-sort cosets, the list-based subset search and
-    # the ascending search over every root without orbit pruning
-    searched = bounds = 0
+    # m in {2, 3, 4}, t in 3..7: cosets, labels, negation closure, every
+    # difference row and least witnesses agree with the translate-and-sort
+    # cosets, the residue test of -1, the rows built by field subtraction,
+    # the list-based subset search and the ascending search over every root
+    # without orbit pruning
+    cases = closed = rows_checked = searched = bounds = 0
     for spec, m in _oracle_cases():
+        cases += 1
         part = power_cosets(spec, m)
         assert (part.cosets, part._labels) == translate_cosets(spec, m), (spec, m)
+        assert negation_closed(part) == part.is_residue(spec.neg(1)), (spec, m)
         if not negation_closed(part):
             continue
+        closed += 1
+        sv = tuple(sieve(part))
+        if sv:
+            rows, reference = _DiffRows(part, sv), FieldDiffRows(part, sv)
+            assert [rows[i] for i in range(len(sv))] == \
+                [reference[i] for i in range(len(sv))], (spec, m)
+            rows_checked += len(sv)
         for t in range(3, 8):
             w = find_normalized_clique(part, t)
             expected = subset_witness(part, t)
             assert (w and w.elements) == expected == plain_witness(part, t), (spec, m, t)
             searched += 1
             bounds += expected is None
+    assert (cases, closed, rows_checked) == (167, 104, 2772)
     assert (searched, bounds) == (520, 213)
 
 
@@ -247,7 +266,7 @@ def test_anharmonic_orbits_partition_the_sieve():
         if not negation_closed(part):
             continue
         sv = sieve(part)
-        orbits = anharmonic_orbits(spec, sv)
+        orbits = anharmonic_orbits(part, sv)
         members = [i for _, orbit in orbits for i in orbit]
         assert sorted(members) == list(range(len(sv))), (spec, m)
         assert [root for root, _ in orbits] == sorted(min(o) for _, o in orbits)
@@ -271,8 +290,8 @@ def test_anharmonic_orbits_prune_the_bound_proofs():
     for p, t, orbits, pruned, plain in [(241, 5, 4, 4, 16), (2029, 8, 36, 1143, 6730)]:
         part = power_cosets(make_field(p), 3)
         sv = tuple(sieve(part))
-        rows = _DiffRows(part.field, part._labels, sv)
-        found = anharmonic_orbits(part.field, sv)
+        rows = FieldDiffRows(part, sv)
+        found = anharmonic_orbits(part, sv)
         assert len(found) == orbits
         assert orbit_search(rows, t - 2, found) == (False, pruned)
         assert _search_roots(rows, t - 2, range(len(sv))) == (None, plain)
@@ -281,11 +300,13 @@ def test_anharmonic_orbits_prune_the_bound_proofs():
 
 def test_non_involution_map_stops_the_search(monkeypatch, capsys):
     # x -> 1/(1 - x) has order 3: it permutes the sieved list but is not an
-    # involution, so the search must refuse to prune with it
+    # involution, so the search must refuse to prune with it; the maps give
+    # exponents to base h, and 1/(1 - x) negates the exponent of 1 - x
     from ramseykit import residues
     from ramseykit.cli import main
 
-    monkeypatch.setattr(residues, "_reciprocal", lambda f, x: f.inv(f.sub(1, x)))
+    monkeypatch.setattr(residues, "_reciprocal",
+                        lambda part, sv: [-e % len(part._log) for e in _flip(part, sv)])
     part = power_cosets(make_field(241), 3)
     with pytest.raises(AssertionError, match="not an involution"):
         find_normalized_clique(part, 5)
