@@ -12,7 +12,7 @@ import os
 import sys
 
 from .field import _iter_orders, make_field
-from .records import CompositionError, FormatError
+from .records import CompositionError, FormatError, canonical_int
 
 _package = sys.modules[__package__]
 
@@ -49,10 +49,11 @@ EXIT_BADFILE = 4
 
 def _parse_targets(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(canonical_int(tok, 2) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"targets must be comma-separated integers, got {text!r}") from None
+            f"targets must be comma-separated integers >= 2 in canonical decimal, "
+            f"got {text!r}") from None
 
 
 def _parse_galois(text: str) -> tuple[int, int]:

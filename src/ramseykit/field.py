@@ -173,9 +173,6 @@ class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, No
 
     # -- element helpers ------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def nonzero(self) -> range:
         return range(1, self.order)
 

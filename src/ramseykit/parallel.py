@@ -14,37 +14,34 @@ the same cliques and node counts wherever the kernel reads only bits above
 the row's vertex:
 
 * ``_search_roots`` masks each root's row above the root;
-* the loop in ``_dfs`` takes the least candidate v out of the set, and so
-  everything below v, before it reads v's row;
+* both loops in ``_dfs`` take the least candidate v out of the set, and so
+  everything below v, before they read v's row;
 * the need == 2 OR test reads whole rows, but an edge {v, w} of the
   candidates, v < w, is bit w of row v in both kinds, so the candidates
-  hold an edge iff ``cand & OR(rows[v] for v in cand)`` is not zero;
-* the need == 2 position walk reads whole rows, but the first candidate v
-  that hits has no partner u < v in the set (v is in row u, so u would
-  have hit first), so its hit and every earlier miss are the same either
-  way;
+  hold an edge iff ``cand & OR(rows[v] for v in cand)`` is not zero (no
+  row holds its own vertex's bit);
 * ``orbit_search`` reads the row of each orbit's least member s against
   the set left after the earlier orbits, which is above s when those
   orbits hold every vertex below s (the vertex orbits of ``verify``).  A
   candidate set below s, as in an edge orbit of a circulant coloring
   (prefix 0 and s), needs symmetric rows.
 
-No row holds its own vertex's bit; the OR test and the walk rely on it.
-
-The last level before a clique is complete (two vertices still needed) is
-the hot one on the K3 searches of composed witnesses, whose candidate sets
-there are dense.  For ``_DENSE`` or more candidates on rows in a ``list``
-(explicit rows, and every full scan), one OR of the candidates' rows in C
-(``reduce`` over ``compress``; San Segundo et al., An exact bit-parallel
-algorithm for the maximum clique problem, 2011) decides the node, and a
-miss, the usual answer, ends it.  On a hit, and on rows built on first use
-(a ``dict`` with ``__missing__``: ``residues``, circulant ``verify``), the
-set is walked by string position up to the least edge, one big-int AND per
-candidate.  The OR would build every candidate's row, the walk only those
-the plain loop reads (``search --galois 3,8 --mod 2 -t 7`` took
-0.33-0.44 s in-process with the OR on such rows, 0.04-0.05 s without).
-Node counts are those of the plain loop, which peels the least candidate
-bit in five big-int operations, either way.
+One vertex still needed is answered at entry by the least candidate.  Two
+still needed is the hot level of the K3 searches of composed witnesses,
+whose candidate sets there are dense.  Its loop peels the least candidate
+v while at least two remain and returns v with its least neighbour above
+it, the least edge of the set (a partner u < v of v would have been found
+at u); the top candidate's row is never read.  Before the loop, on rows
+in a ``list`` (explicit rows, and every full scan), ``_DENSE`` or more
+candidates are decided by one OR of their rows in C (``reduce`` over
+``compress``; San Segundo et al., An exact bit-parallel algorithm for the
+maximum clique problem, 2011), and a miss, the usual answer, ends the
+node.  Rows built on first use (a ``dict`` with ``__missing__``:
+``residues``, circulant ``verify``) skip it: the OR would build every
+candidate's row, the loop only those it reads (``search --galois 3,8
+--mod 2 -t 7`` took 0.33-0.44 s in-process with the OR on such rows,
+0.04-0.05 s without).  Node counts are those of the plain loop, which
+peels the least candidate bit at every level.
 """
 
 from __future__ import annotations
@@ -53,13 +50,13 @@ from functools import reduce
 from itertools import compress
 from operator import or_
 
-# Fewest candidates for the need == 2 shortcuts: the OR test on built rows
-# and the position walk.  Per need == 2 node of a K3 full scan of colour 1
-# (2 vCPU, CPython 3.11.7), loop against OR test: h1493 at 8-15 candidates
-# 10.2 / 9.9 us, at 16-31 21.1 / 13.6 us, at 32-63 40.0 / 19.1 us; h4634
-# at 16-31 34.2 / 21.3 us.  The Z_691 K6 scan has no set of 16 or more (its
-# 8-15 sets cost 5.3 us by the loop, 15.5 us by the test), so it runs as
-# before; so does any search whose candidate sets stay sparse.
+# Fewest candidates for the need == 2 OR test on built rows.  Per need == 2
+# node of a K3 full scan of colour 1 (2 vCPU, CPython 3.11.7), loop against
+# OR test: h1493 at 8-15 candidates 10.2 / 9.9 us, at 16-31 21.1 / 13.6 us,
+# at 32-63 40.0 / 19.1 us; h4634 at 16-31 34.2 / 21.3 us.  The Z_691 K6 scan
+# has no set of 16 or more (its 8-15 sets cost 5.3 us by the loop, 15.5 us
+# by the test), so it never takes the test, nor does any search whose
+# candidate sets stay sparse.
 _DENSE = 16
 
 _ONES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" digits to false/true bytes
@@ -67,34 +64,31 @@ _ONES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" digits to false/true bytes
 
 def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
     stats[0] += 1
-    if need == 2 and cand.bit_count() >= _DENSE:
-        low = (cand & -cand).bit_length() - 1
-        bits = bin(cand >> low)[:1:-1]  # bits[i] == "1" iff low + i is a candidate
-        if type(rows) is list and not cand & reduce(  # built rows: one OR in C
-                or_, compress(rows[low:], bits.encode().translate(_ONES)), 0):
-            return None  # no candidate has a neighbour among the candidates
-        # The first candidate v with a neighbour in cand, paired with its
-        # least one, is the least edge: a partner u < v of v in cand would
-        # have been found at u.  The top candidate has no partner above it.
-        top = len(bits) - 1
-        i = 0  # the least candidate
-        while i >= 0:
-            hit = cand & rows[low + i]
-            if hit:
-                stats[0] += 1  # the need == 1 node that the loop below visits
-                prefix += (low + i, (hit & -hit).bit_length() - 1)
-                return prefix
-            i = bits.find("1", i + 1, top)
-        return None
-    while cand:
-        if cand.bit_count() < need:
+    if need == 1:
+        if not cand:
             return None
+        prefix.append((cand & -cand).bit_length() - 1)
+        return prefix
+    if need == 2:
+        if type(rows) is list and cand.bit_count() >= _DENSE:  # built rows: one OR in C
+            low = (cand & -cand).bit_length() - 1
+            if not cand & reduce(or_, compress(
+                    rows[low:], bin(cand >> low)[:1:-1].encode().translate(_ONES)), 0):
+                return None  # no candidate has a neighbour among the candidates
+        while cand.bit_count() >= 2:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            hit = cand & rows[v]
+            if hit:
+                stats[0] += 1  # the need == 1 node that the plain loop visits
+                prefix += (v, (hit & -hit).bit_length() - 1)
+                return prefix
+        return None
+    while cand.bit_count() >= need:
         low = cand & -cand
         v = low.bit_length() - 1
         cand ^= low
-        if need == 1:
-            prefix.append(v)
-            return prefix
         nxt = cand & rows[v]
         if nxt.bit_count() >= need - 1:
             prefix.append(v)

@@ -9,7 +9,8 @@ Subclasses validate in ``__new__`` and declare ``__slots__ = ()``.
 
 The two error classes that ``cli.main`` turns into exit codes live here too,
 so that catching them loads no module a command does not run; ``coloring``
-and ``construct`` re-export them.
+and ``construct`` re-export them.  ``canonical_int``, which reads
+``--targets`` and certificates, lives here for the same reason.
 """
 
 from collections import namedtuple
@@ -29,6 +30,15 @@ def record(typename: str, field_names: str, defaults=()):
     base = namedtuple(typename, field_names, defaults=defaults)
     base.__eq__, base.__ne__, base.__hash__ = _eq, _ne, tuple.__hash__
     return base
+
+
+def canonical_int(text: str, least: int = 0) -> int:
+    """The int ``text`` writes in canonical decimal (ASCII digits with no
+    sign, ``_`` or leading zero), if it is ``least`` or more; else ValueError."""
+    if not (text.isascii() and text.isdigit()) or str(int(text)) != text \
+            or int(text) < least:
+        raise ValueError(f"{text!r} is not an integer >= {least} in canonical decimal")
+    return int(text)
 
 
 class FormatError(ValueError):

@@ -80,14 +80,17 @@ plan.  ``VerificationReport.searches`` records each color's method.
   II (2014).
 
 A full scan (method ``full``) searches from every root, in one process.
+``symmetry=False`` gives every color one and looks for no symmetry.
 """
 
 from __future__ import annotations
 
+import re
+
 from .coloring import EdgeColoring, FormatError, coloring_digest
 from .field import generator_powers, multiplicative_generator
 from .parallel import _search_roots, orbit_search
-from .records import record
+from .records import canonical_int, record
 
 CERT_HEADER = "ramsey-certificate v1"
 _CERT_KEYS = ("targets", "n", "verdict", "bound", "clique", "coloring-sha")
@@ -189,23 +192,18 @@ def _rotates(coloring: EdgeColoring, b: int, pi: bytes) -> bool:
 
 
 def _plans(coloring: EdgeColoring, targets: dict[int, int],
-           symmetry: bool | None) -> dict[int, _Plan]:
+           symmetry: bool) -> dict[int, _Plan]:
     """A search plan for each color in ``targets`` (color -> clique size)."""
     full = dict.fromkeys(targets, _FULL)
-    if symmetry is False:
+    if not symmetry:
         return full
     if coloring.is_circulant:
         d, orbits = _edge_orbits(coloring)
         return {c: _Plan(f"edge-orbits d={d}", orbits[c], (0,)) for c in targets}
     candidate = _copy_cycle(coloring)
     plans = full if candidate is None else _rotation_plans(coloring, targets, *candidate)
-    # the n^2 proof is paid only when a plan uses the rotation or it is demanded
-    if not symmetry and all(plan is _FULL for plan in plans.values()):
-        return full
-    if candidate is None or not _rotates(coloring, *candidate):
-        if symmetry:
-            raise ValueError("symmetry demanded, but the coloring is not circulant "
-                             "and has no verified copy-cycle rotation")
+    # the n^2 proof is paid only when a plan uses the rotation
+    if all(plan is _FULL for plan in plans.values()) or not _rotates(coloring, *candidate):
         return full
     return plans
 
@@ -254,15 +252,14 @@ def _find(coloring: EdgeColoring, color: int, k: int,
 
 
 def find_mono_clique(coloring: EdgeColoring, color: int, k: int, *,
-                     symmetry: bool | None = None) -> tuple[int, ...] | None:
+                     symmetry: bool = True) -> tuple[int, ...] | None:
     """Exhaustive search for a k-clique in one color class.
 
     Returns None iff no such clique exists, else the lexicographically
     least one, independent of ``symmetry``.
-    symmetry None means "search by any symmetry the verifier proves" (edge
+    ``symmetry`` True searches by any symmetry the verifier proves (edge
     orbits of a circulant coloring, the copy-cycle rotation of an explicit
-    one), True demands such a symmetry (ValueError when none is proved),
-    and False searches every root, using no symmetry at all.
+    one), False by the full scan of every root, using no symmetry at all.
     """
     coloring._check_color(color)
     if not 2 <= k <= coloring.n:
@@ -303,7 +300,7 @@ class VerificationReport(record("VerificationReport", "targets cliques searches"
 
 
 def verify_witness(coloring: EdgeColoring, targets, *,
-                   symmetry: bool | None = None) -> VerificationReport:
+                   symmetry: bool = True) -> VerificationReport:
     """Check that color i contains no K_{targets[i]}, for every color.
 
     ``symmetry`` is as for ``find_mono_clique``; the verdict and the
@@ -366,7 +363,7 @@ class RamseyCertificate(record("RamseyCertificate",
 
 
 def certify(coloring: EdgeColoring, targets, out=None, *,
-            symmetry: bool | None = None) -> RamseyCertificate:
+            symmetry: bool = True) -> RamseyCertificate:
     """Verify a coloring and (optionally) write the certificate file.
 
     The coloring is hashed only for a file: without ``out`` the verdict is
@@ -404,10 +401,10 @@ def read_certificate(source) -> RamseyCertificate:
             raise FormatError(f"unknown or repeated certificate key {key!r}")
         fields[key] = value
     try:
-        targets = tuple(int(k) for k in fields["targets"].split(","))
-        n = int(fields["n"])
-        if n < 1:
-            raise ValueError(f"n={n} is not a vertex count")
+        targets = tuple(canonical_int(k, 2) for k in fields["targets"].split(","))
+        n = canonical_int(fields["n"], 1)
+        if not re.fullmatch("[0-9a-f]{64}", fields["coloring-sha"]):
+            raise ValueError("coloring-sha is not 64 lowercase hex digits")
         if fields["verdict"] not in ("pass", "fail"):
             raise ValueError(f"verdict {fields['verdict']!r} is neither pass nor fail")
         passed = fields["verdict"] == "pass"
@@ -417,8 +414,8 @@ def read_certificate(source) -> RamseyCertificate:
         clique_color = clique = None
         if not passed:
             color_part, _, verts = fields["clique"].partition(":")
-            clique_color = int(color_part)
-            clique = tuple(int(v) for v in verts.split(","))
+            clique_color = canonical_int(color_part)
+            clique = tuple(map(canonical_int, verts.split(",")))
             if not (1 <= clique_color <= len(targets)
                     and len(set(clique)) == len(clique) == targets[clique_color - 1]
                     and all(0 <= v < n for v in clique)):

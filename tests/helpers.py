@@ -22,8 +22,9 @@ def brute_has_mono_clique(coloring, k):
 
 def loop_search_roots(rows, k, roots):
     """Least k-clique whose minimum vertex is in roots, plus the nodes
-    visited: the clique kernel as it was before its need == 2 OR test and
-    position walk, peeling the least candidate bit at every level."""
+    visited: the clique kernel as it was before its need == 1 answer at
+    entry and its need == 2 OR test and loop, peeling the least candidate
+    bit at every level."""
     stats = [0]
 
     def dfs(cand, need, prefix):
@@ -290,7 +291,7 @@ def token_loads(text):
         raise FormatError(str(exc)) from exc
 
 
-def full_row_find(coloring, color, k, symmetry=None):
+def full_row_find(coloring, color, k, symmetry=True):
     """Least k-clique of one color and the search nodes, as the verifier
     found them on the symmetric neighbour rows of an explicit coloring,
     before it searched the rows above each vertex: the same plan, searched

@@ -265,15 +265,25 @@ def _pentagon_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "--targets", "3,x"], "--targets"),
+    (["verify", "--targets", "3_0,3"], "--targets"),  # int() reads 30
+    (["verify", "--targets", "+3,3"], "--targets"),
+    (["verify", "--targets", "03,3"], "--targets"),
+    (["verify", "--targets", "\u0663,3"], "--targets"),  # an Arabic-Indic 3
+    (["verify", "--targets", "1,3"], "--targets"),
+    (["compose", "--targets", "3_0"], "--targets"),
     (["verify", "--targets", "3,3", "--threads", "0"], "--threads"),
     (["verify", "--targets", "3,3", "--threads", "-2"], "--threads"),
     (["verify", "--targets", "3,3", "--threads", "two"], "--threads"),
     (["search", "--galois", "2", "--mod", "3", "-t", "3"], "--galois"),
-], ids=["targets", "threads", "threads-negative", "threads-not-int", "galois"])
+], ids=["targets", "targets-underscore", "targets-sign", "targets-leading-zero",
+        "targets-non-ascii", "targets-below-2", "compose-targets", "threads",
+        "threads-negative", "threads-not-int", "galois"])
 def test_malformed_argument_exits_2(tmp_path, capsys, argv, flag):
     path = _pentagon_file(tmp_path, capsys)
     if argv[0] == "verify":
         argv = argv[:1] + ["-i", str(path)] + argv[1:]
+    elif argv[0] == "compose":
+        argv = argv + ["--t", str(path), "--g", str(path), "-o", str(tmp_path / "h")]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert flag in err

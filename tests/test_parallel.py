@@ -18,8 +18,8 @@ def graphs(draw):
     need == 2 candidate sets of one search fall on both sides of the
     kernel's ``_DENSE``: G(n, p), or a random bipartite graph
     (triangle-free) with unequal parts and a few edges added inside them,
-    so that the OR test misses many sets and a walk misses many candidates
-    before it finds the least triangle."""
+    so that the OR test misses many sets and the need == 2 loop misses many
+    candidates before it finds the least triangle."""
     n = draw(st.integers(70, 200))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
@@ -62,20 +62,6 @@ def test_orbit_search_with_trivial_orbits_decides_existence(rows, k, upper):
     assert hit == (_search_roots(rows, k, range(len(rows)))[0] is not None)
 
 
-def test_kernel_on_triangle_free_dense_rows():
-    # K_{80,120}: each root in the first part has the 120 vertices of the
-    # second as candidates, none of them adjacent; the walk finds nothing
-    n, a = 200, 80
-    rows = [(((1 << n) - 1) ^ ((1 << a) - 1)) if v < a else (1 << a) - 1
-            for v in range(n)]
-    assert _search_roots(rows, 3, range(n)) == loop_search_roots(rows, 3, range(n)) \
-        == (None, a)
-    rows[151] |= 1 << 170  # one edge inside the second part
-    rows[170] |= 1 << 151
-    assert _search_roots(rows, 3, range(n)) == loop_search_roots(rows, 3, range(n)) \
-        == ((0, 151, 170), 2)
-
-
 class _BuiltOnFirstUse(dict):
     """Rows built on first use, as ``residues._DiffRows`` and
     ``coloring._CirculantRows`` build them; ``built`` lists the rows built,
@@ -89,6 +75,24 @@ class _BuiltOnFirstUse(dict):
         self.built.append(v)
         row = self[v] = self.rows[v]
         return row
+
+
+def test_kernel_on_triangle_free_dense_rows():
+    # K_{80,120}: each root in the first part has the 120 vertices of the
+    # second as candidates, none of them adjacent.  On built rows the OR test
+    # ends each such set; on rows built on first use the need == 2 loop peels
+    # every candidate but the top one and builds the rows the plain loop builds
+    n, a = 200, 80
+    rows = [(((1 << n) - 1) ^ ((1 << a) - 1)) if v < a else (1 << a) - 1
+            for v in range(n)]
+    for extra_edge, want in [(False, (None, a)), (True, ((0, 151, 170), 2))]:
+        if extra_edge:  # one edge inside the second part
+            rows[151] |= 1 << 170
+            rows[170] |= 1 << 151
+        lazy, oracle = _BuiltOnFirstUse(rows), _BuiltOnFirstUse(rows)
+        assert _search_roots(rows, 3, range(n)) == _search_roots(lazy, 3, range(n)) \
+            == loop_search_roots(oracle, 3, range(n)) == want
+        assert lazy.built == oracle.built
 
 
 @settings(max_examples=50, deadline=None)

@@ -322,7 +322,7 @@ def dense_colorings(draw):
     """Two colors on 140..170 vertices: color 1 a random bipartite graph
     (no triangle) of density about 0.45, color 2 the rest, so the K3 search
     of either color meets candidate sets of ``parallel._DENSE`` or more
-    at need == 2, decided by the OR test and the position walk."""
+    at need == 2, decided by the OR test and the need == 2 loop."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = draw(st.integers(140, 170))
     side = [rng.random() < 0.5 for _ in range(n)]
@@ -333,8 +333,8 @@ def dense_colorings(draw):
 @settings(deadline=None, max_examples=60)
 @given(st.one_of(explicit_colorings(), dense_colorings(),
                  composition_inputs().map(lambda comp: chung_compose(comp, validate=False))),
-       st.integers(2, 4), st.sampled_from([None, False]))
-@example(g_part_triangle, 3, None)
+       st.integers(2, 4), st.sampled_from([True, False]))
+@example(g_part_triangle, 3, True)
 def test_search_on_rows_above_matches_the_full_rows(col, k, symmetry):
     # the same clique and the same nodes as the search on the symmetric rows,
     # in find_mono_clique and in each color's ColorSearch

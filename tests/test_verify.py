@@ -88,8 +88,6 @@ def test_parameter_validation():
         find_mono_clique(col, 1, 1)
     with pytest.raises(ValueError):
         find_mono_clique(col, 1, 6)  # k > n
-    with pytest.raises(ValueError):
-        find_mono_clique(col.to_explicit(), 1, 3, symmetry=True)
 
 
 def test_k2_is_color_nonempty():
@@ -108,6 +106,8 @@ def test_symmetry_mode_equivalence(p, m, t):
         assert (rooted is None) == (full is None)
         # the least clique of a circulant coloring always passes through 0
         assert rooted == full
+    report = verify_witness(col, (t,) * m)
+    assert all(s.method.startswith("edge-orbits d=") for s in report.searches)
 
 
 def _agreement_cases():
@@ -130,6 +130,8 @@ def test_orbit_rooted_root_zero_and_full_scan_agree():
         if not negation_closed(part):
             continue
         col = build_cayley_coloring(part)
+        assert all(s.method.startswith("edge-orbits d=")
+                   for s in verify_witness(col, (2,) * m).searches)
         for k in range(2, min(6, col.n) + 1):
             for color in range(1, m + 1):
                 orbit = find_mono_clique(col, color, k, symmetry=True)
@@ -294,7 +296,7 @@ def test_clique_determinism():
 
 def test_chain_verify_node_counts():
     # the full scan (the independent referee): the K3 kernel's need == 2 OR
-    # test and position walk visit exactly the nodes of the plain loop
+    # test and loop visit exactly the nodes of the plain loop
     # (h1493's candidate sets at that level reach hundreds)
     _, _, h481, h1493 = chain()
     assert verify_witness(h481, (3,) * 6, symmetry=False).nodes == 2760
@@ -358,8 +360,6 @@ def test_recolored_edge_rejects_the_rotation():
         assert _methods(report) == ("full",) * 4
         assert report.cliques == tuple(brute_mono_clique(broken, c, 3) for c in (1, 2, 3, 4))
         assert report.cliques == verify_witness(broken, (3, 3, 3, 3), symmetry=False).cliques
-        with pytest.raises(ValueError, match="no verified copy-cycle rotation"):
-            verify_witness(broken, (3, 3, 3, 3), symmetry=True)
 
 
 def test_rotation_is_proved_only_when_a_plan_uses_it(monkeypatch):
@@ -373,8 +373,6 @@ def test_rotation_is_proved_only_when_a_plan_uses_it(monkeypatch):
     assert verify_witness(h, (3, 3, 3, 3), symmetry=False).passed and proofs == []
     # a color pi fixes is searched by vertex orbits, after the proof
     assert find_mono_clique(h, 4, 3) is None and proofs == [16]
-    # a demanded symmetry is always proved
-    assert find_mono_clique(h, 1, 3, symmetry=True) is None and proofs == [16, 16]
 
 
 def test_unequal_targets_keep_the_color_cycle_apart():
@@ -399,7 +397,11 @@ def test_symmetry_true_on_a_composed_witness():
         for k in (2, 3, 4):
             assert find_mono_clique(h, color, k, symmetry=True) == \
                 find_mono_clique(h, color, k, symmetry=False)
-    assert verify_witness(h, (3, 3, 3, 3), symmetry=True).passed
+    for k in (2, 3, 4):  # color 4, which pi fixes, by the proved rotation
+        assert _methods(verify_witness(h, (k,) * 4))[3] == "vertex-orbits b=16"
+    report = verify_witness(h, (3, 3, 3, 3), symmetry=True)
+    assert report.passed
+    assert _methods(report) == ("full",) + ("colour-orbit of 1",) * 2 + ("vertex-orbits b=16",)
 
 
 def test_verify_witness_pentagon():
@@ -469,26 +471,41 @@ def test_certify_241(tmp_path):
     assert cert.statement() == "R(5,5,5)>=242"
 
 
-_PASS = "targets=3,3\nn=5\nverdict=pass\nbound=R(3,3)>=6\ncoloring-sha=0\n"
+_SHA = coloring_digest(pentagon())
+_PASS = f"targets=3,3\nn=5\nverdict=pass\nbound=R(3,3)>=6\ncoloring-sha={_SHA}\n"
 _BAD_CERTIFICATES = {
-    "several faults": "targets=3,3\nn=0\nverdict=fail\nclique=9:1\nbogus=1\ncoloring-sha=0\n",
+    "several faults": f"targets=3,3\nn=0\nverdict=fail\nclique=9:1\nbogus=1\ncoloring-sha={_SHA}\n",
     "n below 1": _PASS.replace("n=5", "n=0"),
     "unknown key": _PASS + "bogus=1\n",
     "duplicate key": _PASS + "n=5\n",
     "line without key": _PASS + "\n",
-    "unknown verdict": "targets=3,3\nn=5\nverdict=maybe\nclique=1:0,1,2\ncoloring-sha=0\n",
+    "unknown verdict": f"targets=3,3\nn=5\nverdict=maybe\nclique=1:0,1,2\ncoloring-sha={_SHA}\n",
     "clique color above targets": "clique=3:0,1,2",
     "clique color 0": "clique=0:0,1,2",
     "clique size not the target": "clique=1:0,1,2,3",
     "repeated clique vertex": "clique=1:0,1,1",
     "clique vertex above n-1": "clique=1:0,1,5",
     "negative clique vertex": "clique=1:-1,1,2",
-    "non-ASCII byte": _PASS.replace("coloring-sha=0", "coloring-sha=\u00e9"),
+    "non-ASCII byte": _PASS.replace(_SHA, "\u00e9"),
     "bound of another statement": _PASS.replace("R(3,3)>=6", "R(9,9)>=1000"),
     "pass without bound": _PASS.replace("bound=R(3,3)>=6\n", ""),
     "fail with bound": "clique=1:0,1,2\nbound=R(3,3)>=6",
     "pass with clique": _PASS + "clique=1:0,1,2\n",
     "missing file": None,
+    # numbers in anything but canonical decimal, as ``to_text`` writes them
+    "n with a sign": _PASS.replace("n=5", "n=+5"),
+    "n with a leading zero": _PASS.replace("n=5", "n=05"),
+    "target with an underscore":
+        _PASS.replace("targets=3,3", "targets=3_0,3").replace("R(3,3)", "R(30,3)"),
+    "target with a sign": _PASS.replace("targets=3,3", "targets=+3,3"),
+    "target 1": _PASS.replace("targets=3,3", "targets=1,3").replace("R(3,3)", "R(1,3)"),
+    "clique color with a leading zero": "clique=01:0,1,2",
+    "clique vertex with a sign": "clique=1:0,+1,2",
+    "clique vertex with an underscore": "clique=1:0,1,0_2",
+    "empty coloring-sha": _PASS.replace(_SHA, ""),
+    "coloring-sha not a digest": _PASS.replace(_SHA, "not-a-digest"),
+    "coloring-sha in upper case": _PASS.replace(_SHA, _SHA.upper()),
+    "coloring-sha too short": _PASS.replace(_SHA, _SHA[:-1]),
 }
 
 
@@ -498,7 +515,7 @@ def test_read_certificate_rejects(tmp_path, body):
     path = tmp_path / "bad.cert"
     if body is not None:
         if body.startswith("clique="):
-            body = f"targets=3,3\nn=5\nverdict=fail\n{body}\ncoloring-sha=0\n"
+            body = f"targets=3,3\nn=5\nverdict=fail\n{body}\ncoloring-sha={_SHA}\n"
         path.write_bytes(("ramsey-certificate v1\n" + body).encode("utf-8"))
     with pytest.raises(FormatError):
         read_certificate(path)
