@@ -26,22 +26,21 @@ the row's vertex:
   candidate set below s, as in an edge orbit of a circulant coloring
   (prefix 0 and s), needs symmetric rows.
 
-One vertex still needed is answered at entry by the least candidate.  Two
-still needed is the hot level of the K3 searches of composed witnesses,
-whose candidate sets there are dense.  Its loop peels the least candidate
-v while at least two remain and returns v with its least neighbour above
-it, the least edge of the set (a partner u < v of v would have been found
-at u); the top candidate's row is never read.  Before the loop, on rows
-in a ``list`` (explicit rows, and every full scan), ``_DENSE`` or more
-candidates are decided by one OR of their rows in C (``reduce`` over
-``compress``; San Segundo et al., An exact bit-parallel algorithm for the
-maximum clique problem, 2011), and a miss, the usual answer, ends the
-node.  Rows built on first use (a ``dict`` with ``__missing__``:
-``residues``, circulant ``verify``) skip it: the OR would build every
-candidate's row, the loop only those it reads (``search --galois 3,8
---mod 2 -t 7`` took 0.33-0.44 s in-process with the OR on such rows,
-0.04-0.05 s without).  Node counts are those of the plain loop, which
-peels the least candidate bit at every level.
+One vertex still needed is answered at entry by the least candidate.  At
+every other level one loop peels the least candidate v while ``need`` or
+more remain and descends into v's neighbours among those left, so the top
+``need - 1`` candidates' rows are never read.  Two still needed is the hot
+level of the K3 searches of composed witnesses, whose candidate sets there
+are dense.  On rows in a ``list`` (explicit rows, and every full scan),
+``_DENSE`` or more candidates are first decided by one OR of their rows in
+C (``reduce`` over ``compress``; San Segundo et al., An exact bit-parallel
+algorithm for the maximum clique problem, 2011), and a miss, the usual
+answer, ends the node.  Rows built on first use (a ``dict`` with
+``__missing__``: ``residues``, circulant ``verify``) skip it: the OR would
+build every candidate's row, the loop only those it reads (``search
+--galois 3,8 --mod 2 -t 7`` took 0.33-0.44 s in-process with the OR on
+such rows, 0.04-0.05 s without).  Node counts are those of the plain loop,
+which peels the least candidate bit at every level.
 """
 
 from __future__ import annotations
@@ -69,22 +68,11 @@ def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
             return None
         prefix.append((cand & -cand).bit_length() - 1)
         return prefix
-    if need == 2:
-        if type(rows) is list and cand.bit_count() >= _DENSE:  # built rows: one OR in C
-            low = (cand & -cand).bit_length() - 1
-            if not cand & reduce(or_, compress(
-                    rows[low:], bin(cand >> low)[:1:-1].encode().translate(_ONES)), 0):
-                return None  # no candidate has a neighbour among the candidates
-        while cand.bit_count() >= 2:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            hit = cand & rows[v]
-            if hit:
-                stats[0] += 1  # the need == 1 node that the plain loop visits
-                prefix += (v, (hit & -hit).bit_length() - 1)
-                return prefix
-        return None
+    if need == 2 and type(rows) is list and cand.bit_count() >= _DENSE:  # one OR in C
+        low = (cand & -cand).bit_length() - 1
+        if not cand & reduce(or_, compress(
+                rows[low:], bin(cand >> low)[:1:-1].encode().translate(_ONES)), 0):
+            return None  # no candidate has a neighbour among the candidates
     while cand.bit_count() >= need:
         low = cand & -cand
         v = low.bit_length() - 1

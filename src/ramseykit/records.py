@@ -35,10 +35,10 @@ def record(typename: str, field_names: str, defaults=()):
 def canonical_int(text: str, least: int = 0) -> int:
     """The int ``text`` writes in canonical decimal (ASCII digits with no
     sign, ``_`` or leading zero), if it is ``least`` or more; else ValueError."""
-    if not (text.isascii() and text.isdigit()) or str(int(text)) != text \
-            or int(text) < least:
+    value = int(text) if text.isascii() and text.isdigit() else None
+    if value is None or str(value) != text or value < least:
         raise ValueError(f"{text!r} is not an integer >= {least} in canonical decimal")
-    return int(text)
+    return value
 
 
 class FormatError(ValueError):

@@ -23,8 +23,8 @@ def brute_has_mono_clique(coloring, k):
 def loop_search_roots(rows, k, roots):
     """Least k-clique whose minimum vertex is in roots, plus the nodes
     visited: the clique kernel as it was before its need == 1 answer at
-    entry and its need == 2 OR test and loop, peeling the least candidate
-    bit at every level."""
+    entry and its need == 2 OR test, peeling the least candidate bit at
+    every level."""
     stats = [0]
 
     def dfs(cand, need, prefix):

@@ -18,7 +18,7 @@ def graphs(draw):
     need == 2 candidate sets of one search fall on both sides of the
     kernel's ``_DENSE``: G(n, p), or a random bipartite graph
     (triangle-free) with unequal parts and a few edges added inside them,
-    so that the OR test misses many sets and the need == 2 loop misses many
+    so that the OR test misses many sets and the kernel's loop misses many
     candidates before it finds the least triangle."""
     n = draw(st.integers(70, 200))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -80,8 +80,8 @@ class _BuiltOnFirstUse(dict):
 def test_kernel_on_triangle_free_dense_rows():
     # K_{80,120}: each root in the first part has the 120 vertices of the
     # second as candidates, none of them adjacent.  On built rows the OR test
-    # ends each such set; on rows built on first use the need == 2 loop peels
-    # every candidate but the top one and builds the rows the plain loop builds
+    # ends each such set; on rows built on first use the loop peels every
+    # candidate but the top one and builds the rows the plain loop builds
     n, a = 200, 80
     rows = [(((1 << n) - 1) ^ ((1 << a) - 1)) if v < a else (1 << a) - 1
             for v in range(n)]
