@@ -26,8 +26,7 @@ _EXPORTS = {
                  "build_cayley_coloring", "coloring_digest", "dumps_coloring",
                  "load_coloring", "loads_coloring", "save_coloring"),
     "records": ("CompositionError", "FormatError"),
-    "construct": ("CHUNG_PLAN", "BlockMap", "CompositionInput", "bound_value",
-                  "chung_compose"),
+    "construct": ("CHUNG_PLAN", "CompositionInput", "bound_value", "chung_compose"),
     "verify": ("ColorSearch", "RamseyCertificate", "VerificationReport", "certify",
                "find_mono_clique", "read_certificate", "verify_witness"),
 }

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .field import _iter_orders, make_field
+from .field import admissible_orders, make_field
 from .records import CompositionError, FormatError, canonical_int
 
 _package = sys.modules[__package__]
@@ -56,22 +56,29 @@ def _parse_targets(text: str) -> tuple[int, ...]:
             f"got {text!r}") from None
 
 
+def _number(least: int = 0):
+    """An argparse type: an integer ``least`` or more in canonical decimal."""
+
+    def parse(text: str) -> int:
+        try:
+            return canonical_int(text, least)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def _parse_galois(text: str) -> tuple[int, int]:
     try:
-        p, k = (int(tok) for tok in text.split(","))
+        p, k = (canonical_int(tok) for tok in text.split(","))
         return p, k
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected p,k, got {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(
+            f"expected p,k in canonical decimal, got {text!r}") from None
 
 
 def _cmd_primes(args) -> int:
-    for spec in _iter_orders(args.mod, args.lo, args.hi, prime_only=args.prime_only):
+    for spec in admissible_orders(args.mod, args.lo, args.hi, prime_only=args.prime_only):
         print(spec.order)
     return EXIT_PASS
 
@@ -83,7 +90,7 @@ def _cmd_search(args) -> int:
         if args.lo is None or args.hi is None:
             print("error: search needs --min and --max (or --galois p,k)", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-        specs = _iter_orders(args.mod, args.lo, args.hi, prime_only=True)
+        specs = admissible_orders(args.mod, args.lo, args.hi, prime_only=True)
     targets = ",".join([str(args.t)] * args.mod)
     for spec in specs:
         partition = power_cosets(spec, args.mod)
@@ -130,11 +137,8 @@ def _cmd_compose(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive_int, default=None, metavar="N",
+    common.add_argument("--threads", type=_number(1), default=None, metavar="N",
                         help="accepted and ignored: every search runs in one process")
-    common.add_argument("--deterministic", action="store_true",
-                        help="accepted and ignored: witnesses are always the "
-                             "lexicographically least")
 
     top = argparse.ArgumentParser(
         prog="ramseykit",
@@ -144,30 +148,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primes", parents=[common],
                        help="list field orders N with m | N-1")
-    p.add_argument("--mod", type=int, required=True, metavar="M")
-    p.add_argument("--min", dest="lo", type=int, required=True)
-    p.add_argument("--max", dest="hi", type=int, required=True)
+    p.add_argument("--mod", type=_number(), required=True, metavar="M")
+    p.add_argument("--min", dest="lo", type=_number(), required=True)
+    p.add_argument("--max", dest="hi", type=_number(), required=True)
     p.add_argument("--prime-only", action="store_true",
                    help="exclude prime powers")
     p.set_defaults(func=_cmd_primes)
 
     p = sub.add_parser("search", parents=[common],
                        help="search residue colorings for monochromatic cliques")
-    p.add_argument("--mod", type=int, required=True, metavar="M",
+    p.add_argument("--mod", type=_number(), required=True, metavar="M",
                    help="number of residue classes / colors")
-    p.add_argument("-t", type=int, required=True,
+    p.add_argument("-t", type=_number(), required=True,
                    help="clique size to avoid")
-    p.add_argument("--min", dest="lo", type=int)
-    p.add_argument("--max", dest="hi", type=int)
+    p.add_argument("--min", dest="lo", type=_number())
+    p.add_argument("--max", dest="hi", type=_number())
     p.add_argument("--galois", type=_parse_galois, metavar="P,K",
                    help="search the single field GF(p^k) instead of a prime range")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("build", parents=[common],
                        help="write the residue Cayley coloring of a field")
-    p.add_argument("-p", type=int, required=True, help="field characteristic")
-    p.add_argument("-k", dest="degree", type=int, default=1, help="field degree")
-    p.add_argument("-m", type=int, required=True, help="number of residue classes")
+    p.add_argument("-p", type=_number(), required=True, help="field characteristic")
+    p.add_argument("-k", dest="degree", type=_number(), default=1, help="field degree")
+    p.add_argument("-m", type=_number(), required=True, help="number of residue classes")
     p.add_argument("-o", dest="out", required=True, help="output coloring file")
     p.set_defaults(func=_cmd_build)
 

@@ -21,8 +21,8 @@ followed, for circulant colorings, by ``field=<p>[^<k> poly=<c0,...,ck>]``
 and one ``color <i>: d1 d2 ...`` line per color (ascending canonical
 encodings), or, for explicit colorings, by n-1 lines where line i lists
 the colors of the edges {i, i+1} .. {i, n-1}, separated by whitespace.
-Colors and connection elements are in canonical decimal (ASCII digits,
-no sign, no leading zero; the reader accepts nothing else).  Writing is
+Every number, header or row, is in canonical decimal (ASCII digits, no
+sign, no leading zero; the reader accepts nothing else).  Writing is
 canonical (single spaces), so a save/load round trip is byte exact.
 
 One generator yields the canonical text as ASCII byte lines;
@@ -56,7 +56,7 @@ from __future__ import annotations
 import re
 
 from .field import FieldSpec
-from .records import FormatError
+from .records import FormatError, canonical_int
 
 HEADER = "ramsey-coloring v1"
 MAX_VERTICES = 1 << 15
@@ -382,8 +382,9 @@ def _parse(lines) -> EdgeColoring:
         raise FormatError(f"malformed size line: {size!r}")
     explicit = meta.group(3) == "explicit"
     try:
-        # inside the try: int() of more than 4300 digits raises ValueError
-        n, num_colors = int(meta.group(1)), int(meta.group(2))
+        # inside the try: a non-canonical number, or int() of more than 4300
+        # digits, raises ValueError
+        n, num_colors = canonical_int(meta.group(1)), canonical_int(meta.group(2))
         # before any row is read; a circulant n is checked against its field
         # (``build`` writes circulant colorings of more than MAX_VERTICES)
         if explicit and not 1 <= n <= MAX_VERTICES:
@@ -405,12 +406,12 @@ def _parse_circulant(n: int, num_colors: int, body: list[str]) -> CirculantColor
     fm = _FIELD_RE.match(body[0])
     if not fm:
         raise FormatError(f"malformed field line: {body[0]!r}")
-    p = int(fm.group(1))
+    p = canonical_int(fm.group(1))
     if fm.group(2) is None:
         spec = FieldSpec(p)
     else:
-        k = int(fm.group(2))
-        poly = tuple(int(c) for c in fm.group(3).split(","))
+        k = canonical_int(fm.group(2))
+        poly = tuple(map(canonical_int, fm.group(3).split(",")))
         spec = FieldSpec(p, k, poly)
     if spec.order != n:
         raise FormatError(f"field order {spec.order} does not match n={n}")
@@ -422,13 +423,10 @@ def _parse_circulant(n: int, num_colors: int, body: list[str]) -> CirculantColor
         prefix = f"color {i}:"
         if not line.startswith(prefix):
             raise FormatError(f"expected {prefix!r}, got {line!r}")
-        tokens = line[len(prefix):].split()
-        elements = [int(tok) for tok in tokens]
-        # int() also reads signs, leading zeros and non-ASCII decimal digits
-        for tok, e in zip(tokens, elements):
-            if str(e) != tok:
-                raise FormatError(f"color {i}: element {tok!r} is not in canonical decimal")
-        sets.append(elements)
+        try:
+            sets.append(list(map(canonical_int, line[len(prefix):].split())))
+        except ValueError as exc:
+            raise FormatError(f"color {i}: element {exc}") from None
     return CirculantColoring(spec, sets)
 
 

@@ -37,31 +37,19 @@ from .records import CompositionError, record
 from . import verify as verify_mod
 
 
-class BlockMap(record("BlockMap", "diag color1 color2")):
-    """How one block recolors T: a diagonal constant, images of colors 1
-    and 2, and the uniform +1 shift for colors >= 3."""
-
-    __slots__ = ()
-
-    def apply(self, c: int) -> int:
-        if c == 1:
-            return self.color1
-        if c == 2:
-            return self.color2
-        return c + 1
-
-    @property
-    def table(self) -> bytes:
-        """apply() as a bytes.translate table; entry 0 is the diagonal constant."""
-        return bytes([self.diag, self.color1, self.color2, *range(4, 256), 0])
+def _block(diag: int, color1: int, color2: int) -> bytes:
+    """How one block recolors T, as a bytes.translate table: entry 0 is the
+    diagonal constant, colors 1 and 2 map to color1 and color2, and every
+    color >= 3 shifts up by one."""
+    return bytes([diag, color1, color2, *range(4, 256), 0])
 
 
-# (row copy, column copy) -> BlockMap, 1-based.  The one configuration (up to
-# renaming) whose colors 1..3 stay triangle-free.  The edges from G to copy i
-# all get color i.
+# (row copy, column copy) -> the block's table, 1-based.  The one
+# configuration (up to renaming) whose colors 1..3 stay triangle-free.  The
+# edges from G to copy i all get color i.
 CHUNG_PLAN = {
-    (1, 1): BlockMap(0, 2, 3), (2, 2): BlockMap(0, 3, 1), (3, 3): BlockMap(0, 1, 2),  # A B C
-    (2, 1): BlockMap(3, 2, 1), (3, 1): BlockMap(2, 1, 3), (3, 2): BlockMap(1, 3, 2),  # D E F
+    (1, 1): _block(0, 2, 3), (2, 2): _block(0, 3, 1), (3, 3): _block(0, 1, 2),  # A B C
+    (2, 1): _block(3, 2, 1), (3, 1): _block(2, 1, 3), (3, 2): _block(1, 3, 2),  # D E F
 }
 
 
@@ -116,7 +104,7 @@ def chung_compose(comp: CompositionInput, validate: bool = True) -> ExplicitColo
     # rows and no joined copy (CompositionInput bounds n by MAX_VERTICES)
     tri, start = bytearray(n * (n - 1) // 2), 0
     for copy in range(3):
-        tables = [CHUNG_PLAN[max(copy, col) + 1, min(copy, col) + 1].table for col in range(3)]
+        tables = [CHUNG_PLAN[max(copy, col) + 1, min(copy, col) + 1] for col in range(3)]
         strip = bytes([copy + 1]) * nG
         for i in range(nT):
             t_row = tm[i * nT:(i + 1) * nT]

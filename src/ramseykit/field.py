@@ -25,7 +25,7 @@ The tables cap Galois arithmetic at ``GALOIS_MAX_ORDER`` = 2^20 elements:
 at the cap they take about 50 MB and 1-2 s to build (GF(3^8): 0.3 MB,
 0.02 s).  Above it the first operation that needs the tables (all but
 addition in characteristic 2) raises ValueError, while ``make_field``
-and the order listings still work up to ``MAX_ORDER``.
+and ``admissible_orders`` still work up to ``MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
 
     Candidates are ordered by the integer encoding of their low k
     coefficients (constant term first), so the choice is deterministic
-    and every element/coset label derived from it is reproducible.
+    and every element encoding and coset derived from it is reproducible.
     """
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
@@ -170,29 +170,6 @@ class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, No
         if self.degree == 1:
             return f"Z_{self.characteristic}"
         return f"GF({self.characteristic}^{self.degree})"
-
-    # -- element helpers ------------------------------------------------
-
-    def nonzero(self) -> range:
-        return range(1, self.order)
-
-    def check_element(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a} is not an element of {self}")
-        return a
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Polynomial coefficients (constant term first) of an encoded element."""
-        self.check_element(a)
-        return tuple(_decode_digits(a, self.characteristic, self.degree))
-
-    def element(self, coeffs) -> int:
-        """Encode a coefficient sequence (constant term first)."""
-        coeffs = list(coeffs)
-        p = self.characteristic
-        if len(coeffs) > self.degree or any(not 0 <= c < p for c in coeffs):
-            raise ValueError("coefficient vector out of range")
-        return _encode_digits(coeffs, p)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -402,19 +379,14 @@ def _prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def admissible_orders(m: int, lo: int, hi: int, prime_only: bool = False) -> list[FieldSpec]:
-    """All field orders N in [lo, hi] with m | N-1, ascending.
+def admissible_orders(m: int, lo: int, hi: int, prime_only: bool = False):
+    """The fields whose order N lies in [lo, hi] with m | N-1, ascending,
+    one at a time, so a caller can print or search each as it is found.
 
     Primes always qualify; with prime_only unset, prime powers p^k are
     included as well (with the canonical modulus).  Orders for which no
     field exists are skipped silently.
     """
-    return list(_iter_orders(m, lo, hi, prime_only))
-
-
-def _iter_orders(m: int, lo: int, hi: int, prime_only: bool = False):
-    """``admissible_orders`` one field at a time, so a caller can print or
-    search each order as soon as it is found."""
     if m < 2:
         raise ValueError("m must be >= 2")
     for n in range(max(lo, 2), hi + 1):

@@ -21,8 +21,8 @@ z[a] = "1" iff h^a - 1 is a residue; it gives the sieve (the h^a with
 z[a] = "1") and every difference row.  For sieved x = h^a and y = h^b,
 y - x = x (h^(b - a) - 1) is a residue iff z[(b - a) mod |H|] is "1", so
 row x is one gather at the sieved exponents from z rotated by a.  A
-partition builds its labels and sorted cosets only when something reads
-them; the search reads neither.
+partition sorts its cosets only when something reads them; the search
+does not.
 
 Whether a witness exists is decided first, by one root per orbit of the
 anharmonic group <x -> 1 - x, x -> 1/x> (isomorphic to S_3) on the sieved
@@ -44,7 +44,6 @@ from .field import FieldSpec, generator_powers, multiplicative_generator
 from .parallel import _search_roots, orbit_search
 from .records import record
 
-_NO_LABEL = 255
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # false/true bytes to "0"/"1" digits
 
 
@@ -59,24 +58,18 @@ class CosetPartition:
 
     ``cosets[0]`` is the residue subgroup itself (the coset containing 1);
     ``cosets[i]`` is g^i times it, where g is the least multiplicative
-    generator.  With that labeling, multiplying elements of cosets i and j
+    generator.  With that indexing, multiplying elements of cosets i and j
     always lands in coset (i + j) mod m.
 
     ``powers`` is the checked walk g^0, ..., g^(N-2) (for GF(p^k) the
-    field's antilog table itself: do not modify it).  The labels, the
-    cosets and the search's exponent tables are built from it on first
-    read.
+    field's antilog table itself: do not modify it).  The cosets and the
+    search's exponent tables are built from it on first read.
     """
 
     def __init__(self, field: FieldSpec, m: int, powers):
         self.field = field
         self.m = m
         self.powers = powers
-
-    def __eq__(self, other):
-        if not isinstance(other, CosetPartition):
-            return NotImplemented
-        return (self.field, self.m, self.cosets) == (other.field, other.m, other.cosets)
 
     def __repr__(self):
         return f"CosetPartition({self.field}, m={self.m})"
@@ -85,14 +78,6 @@ class CosetPartition:
     def cosets(self) -> tuple[tuple[int, ...], ...]:
         m = self.m
         return tuple(tuple(sorted(self.powers[i::m])) for i in range(m))
-
-    @cached_property
-    def _labels(self) -> bytes:
-        """Coset label of each element, ``_NO_LABEL`` at 0."""
-        labels = bytearray([_NO_LABEL]) * self.field.order
-        for i, x in enumerate(self.powers):
-            labels[x] = i % self.m
-        return bytes(labels)
 
     @cached_property
     def _log(self) -> dict[int, int]:
@@ -105,17 +90,6 @@ class CosetPartition:
         """Byte a is 1 iff h^a - 1 is a residue, else 0."""
         log = self._log
         return bytes(map(log.__contains__, _decrement(self.field.characteristic, log)))
-
-    @property
-    def residues(self) -> tuple[int, ...]:
-        return self.cosets[0]
-
-    def coset_of(self, x: int) -> int:
-        """0-based coset label of a nonzero element."""
-        label = self._labels[x]
-        if label == _NO_LABEL:
-            raise ValueError(f"{x} is not a nonzero field element")
-        return label
 
     def is_residue(self, x: int) -> bool:
         return x in self._log

@@ -101,9 +101,9 @@ def composed_color(t, g, u, v):
 
 
 def translate_cosets(field, m):
-    """Cosets and labels of the m-th power residues, as the package built them
-    before the generator walk: the residues are the distinct x^m, and coset i
-    is that subgroup translated by g^i, g the least generator."""
+    """Cosets of the m-th power residues, as the package built them before
+    the generator walk: the residues are the distinct x^m, and coset i is
+    that subgroup translated by g^i, g the least generator."""
     from ramseykit.field import multiplicative_generator
 
     n = field.order
@@ -119,7 +119,7 @@ def translate_cosets(field, m):
             labels[y] = i
         cosets.append(tuple(coset))
         shift = field.mul(shift, g)
-    return tuple(cosets), bytes(labels)
+    return tuple(cosets)
 
 
 def subset_witness(partition, t):

@@ -153,7 +153,9 @@ def test_verify_refuted_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["not a coloring\n",
                                   "ramsey-coloring v1\nn=40000 colors=1 repr=explicit\n",
-                                  "ramsey-coloring v1\nn=3 colors=0 repr=explicit\n"])
+                                  "ramsey-coloring v1\nn=3 colors=0 repr=explicit\n",
+                                  "ramsey-coloring v1\nn=05 colors=2 repr=circulant\n"
+                                  "field=5\ncolor 1: 1 4\ncolor 2: 2 3\n"])
 def test_verify_malformed_file_exits_4(tmp_path, capsys, text):
     path = tmp_path / "bad.coloring"
     path.write_text(text)
@@ -226,8 +228,7 @@ def test_threads_flag_output_identical(tmp_path, capsys):
     outs = []
     for threads in ("1", "2"):
         code, out, _ = run(capsys, "search", "--mod", "3", "-t", "4",
-                           "--min", "2", "--max", "100", "--threads", threads,
-                           "--deterministic")
+                           "--min", "2", "--max", "100", "--threads", threads)
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
@@ -274,10 +275,28 @@ def _pentagon_file(tmp_path, capsys):
     (["verify", "--targets", "3,3", "--threads", "0"], "--threads"),
     (["verify", "--targets", "3,3", "--threads", "-2"], "--threads"),
     (["verify", "--targets", "3,3", "--threads", "two"], "--threads"),
+    (["primes", "--mod", "3", "--min", "2", "--max", "9", "--threads", "\u0663"],
+     "--threads"),
     (["search", "--galois", "2", "--mod", "3", "-t", "3"], "--galois"),
+    (["search", "--galois", "2,+4", "--mod", "3", "-t", "3"], "--galois"),
+    (["search", "--galois", "02,4", "--mod", "3", "-t", "3"], "--galois"),
+    # int() reads each of these numbers; a command reads canonical decimal only
+    (["search", "--mod", "3", "-t", "5", "--min", "24_1", "--max", "241"], "--min"),
+    (["search", "--mod", "3", "-t", "5", "--min", "241", "--max", "+241"], "--max"),
+    (["search", "--mod", "3", "-t", "05", "--min", "241", "--max", "241"], "-t"),
+    (["search", "--mod", "\u0663", "-t", "5", "--min", "241", "--max", "241"], "--mod"),
+    (["primes", "--mod", "3", "--min", "-5", "--max", "20"], "--min"),
+    (["build", "-p", "1_3", "-m", "2", "-o", "out.col"], "-p"),
+    (["build", "-p", "13", "-k", " 1", "-m", "2", "-o", "out.col"], "-k"),
+    (["build", "-p", "13", "-m", "+2", "-o", "out.col"], "-m"),
+    (["primes", "--mod", "3", "--min", "2", "--max", "9", "--deterministic"],
+     "--deterministic"),
 ], ids=["targets", "targets-underscore", "targets-sign", "targets-leading-zero",
         "targets-non-ascii", "targets-below-2", "compose-targets", "threads",
-        "threads-negative", "threads-not-int", "galois"])
+        "threads-negative", "threads-not-int", "threads-non-ascii", "galois",
+        "galois-sign", "galois-leading-zero", "min-underscore", "max-sign",
+        "t-leading-zero", "mod-non-ascii", "min-negative", "p-underscore",
+        "k-space", "m-sign", "deterministic"])
 def test_malformed_argument_exits_2(tmp_path, capsys, argv, flag):
     path = _pentagon_file(tmp_path, capsys)
     if argv[0] == "verify":
@@ -287,6 +306,19 @@ def test_malformed_argument_exits_2(tmp_path, capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["primes", "--mod", "1", "--min", "2", "--max", "9"],
+    ["search", "--mod", "3", "-t", "0", "--min", "7", "--max", "7"],
+    ["build", "-p", "13", "-k", "0", "-m", "2", "-o", "out.col"],
+], ids=["mod-1", "t-0", "k-0"])
+def test_canonical_value_failing_a_precondition_exits_3(tmp_path, capsys, monkeypatch, argv):
+    # canonical decimal passes the parser; the command's own check refuses it
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
 
 
 def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):

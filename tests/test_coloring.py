@@ -232,6 +232,20 @@ def test_load_rejects_non_canonical_connection_element(token):
                        f"field=5\ncolor 1: {token} 4\ncolor 2: 2 3\n")
 
 
+@pytest.mark.parametrize("text", [
+    "n=05 colors=2 repr=circulant\nfield=5\ncolor 1: 1 4\ncolor 2: 2 3\n",
+    "n=5 colors=02 repr=circulant\nfield=5\ncolor 1: 1 4\ncolor 2: 2 3\n",
+    "n=5 colors=2 repr=circulant\nfield=05\ncolor 1: 1 4\ncolor 2: 2 3\n",
+    "n=4 colors=1 repr=circulant\nfield=2^02 poly=1,1,1\ncolor 1: 1 2 3\n",
+    "n=4 colors=1 repr=circulant\nfield=2^2 poly=1,01,1\ncolor 1: 1 2 3\n",
+    "n=03 colors=1 repr=explicit\n1 1\n1\n",
+], ids=["n", "colors", "field-p", "field-k", "poly", "explicit-n"])
+def test_load_rejects_non_canonical_header_number(text):
+    # int() reads each of these; every number in a file is in canonical decimal
+    with pytest.raises(FormatError, match="canonical decimal"):
+        loads_coloring("ramsey-coloring v1\n" + text)
+
+
 @pytest.mark.parametrize("size", ["n={} colors=1", "n=3 colors={}"])
 def test_size_line_of_too_many_digits_is_a_format_error(size):
     # int() refuses strings of more than 4300 digits with a ValueError

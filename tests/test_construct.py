@@ -76,16 +76,19 @@ def test_compose_gf16_certifies_r3333():
 
 
 def test_block_constants():
+    # each block's translate table: byte 0 is the diagonal constant, bytes 1
+    # and 2 the images of colors 1 and 2
     plan = CHUNG_PLAN
-    assert (plan[1, 1].diag, plan[1, 1].color1, plan[1, 1].color2) == (0, 2, 3)
-    assert (plan[2, 2].diag, plan[2, 2].color1, plan[2, 2].color2) == (0, 3, 1)
-    assert (plan[3, 3].diag, plan[3, 3].color1, plan[3, 3].color2) == (0, 1, 2)
-    assert (plan[2, 1].diag, plan[2, 1].color1, plan[2, 1].color2) == (3, 2, 1)
-    assert (plan[3, 1].diag, plan[3, 1].color1, plan[3, 1].color2) == (2, 1, 3)
-    assert (plan[3, 2].diag, plan[3, 2].color1, plan[3, 2].color2) == (1, 3, 2)
+    assert plan[1, 1][:3] == bytes([0, 2, 3])
+    assert plan[2, 2][:3] == bytes([0, 3, 1])
+    assert plan[3, 3][:3] == bytes([0, 1, 2])
+    assert plan[2, 1][:3] == bytes([3, 2, 1])
+    assert plan[3, 1][:3] == bytes([2, 1, 3])
+    assert plan[3, 2][:3] == bytes([1, 3, 2])
     assert len(plan) == 6
-    for bm in plan.values():
-        assert bm.apply(3) == 4 and bm.apply(7) == 8  # uniform +1 shift
+    for table in plan.values():
+        assert len(table) == 256
+        assert table[3:255] == bytes(range(4, 256))  # uniform +1 shift
 
 
 def test_cross_block_diag_and_strips():

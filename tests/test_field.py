@@ -48,13 +48,13 @@ def test_admissible_orders_includes_241():
 
 
 def test_admissible_orders_empty():
-    assert admissible_orders(2, 2, 2, prime_only=True) == []
+    assert list(admissible_orders(2, 2, 2, prime_only=True)) == []
 
 
 def test_admissible_orders_prime_powers():
     orders = [s.order for s in admissible_orders(3, 2, 20)]
     assert orders == [4, 7, 13, 16, 19]
-    gf16 = admissible_orders(3, 16, 16)[0]
+    [gf16] = admissible_orders(3, 16, 16)
     assert (gf16.characteristic, gf16.degree) == (2, 4)
 
 
@@ -123,10 +123,8 @@ def test_prime_field_ops():
 
 def test_gf16_reduction():
     f = make_field(2, 4)
-    x3 = f.element([0, 0, 0, 1])
-    x = f.element([0, 1])
-    assert f.mul(x3, x) == f.element([1, 1])  # x^4 = x + 1 under the modulus
-    assert f.coeffs(f.mul(x3, x)) == (1, 1, 0, 0)
+    x3, x = 8, 2  # coefficients (0, 0, 0, 1) and (0, 1)
+    assert f.mul(x3, x) == 3  # x^4 = x + 1 under the modulus
 
 
 def _all_fields_up_to(limit):
@@ -191,16 +189,6 @@ def test_pow_square_and_multiply_agrees_with_repeated_mul():
             acc = spec.mul(acc, a)
 
 
-def test_element_encoding_round_trip():
-    spec = make_field(5, 3)
-    for a in (0, 1, 7, 124):
-        assert spec.element(spec.coeffs(a)) == a
-    with pytest.raises(ValueError):
-        spec.coeffs(125)
-    with pytest.raises(ValueError):
-        spec.element([5, 0, 0])
-
-
 def _oracle_generator(spec):
     """Least element whose powers, by polynomial multiplication, reach all
     N - 1 nonzero elements."""
@@ -248,7 +236,7 @@ def test_galois_order_cap(capsys):
     gf2 = make_field(2, 21)  # the field and its encoding exist above the cap
     gf3 = make_field(3, 13)
     assert (gf2.order, gf3.order) == (1 << 21, 3**13)
-    assert gf3.coeffs(gf3.element([1, 2])) == (1, 2) + (0,) * 11
+    assert gf2.add(2, 3) == 1  # characteristic-2 addition needs no tables
     for op in (lambda: gf2.mul(2, 3), lambda: gf2.inv(2), lambda: gf2.pow(2, 5),
                lambda: multiplicative_generator(gf2), lambda: gf3.add(1, 1),
                lambda: gf3.sub(1, 2), lambda: gf3.neg(1), lambda: gf3.mul(2, 3)):

@@ -4,7 +4,6 @@ frozen dataclasses had them, without importing ``dataclasses``."""
 import pytest
 
 from ramseykit import (
-    BlockMap,
     ColorSearch,
     CompositionInput,
     ExplicitColoring,
@@ -25,7 +24,6 @@ _RECORDS = {
     "FieldSpec": (lambda: FieldSpec(2, 4, [1, 1, 0, 0, 1]),
                   "characteristic degree modulus_poly"),
     "NormalizedWitness": (lambda: NormalizedWitness(4, (1, 2, 9)), "t elements"),
-    "BlockMap": (lambda: BlockMap(3, 2, 1), "diag color1 color2"),
     "CompositionInput": (lambda: CompositionInput(T, G, [3]),
                          "t_witness g_witness targets"),
     "_Plan": (lambda: _Plan("vertex-orbits b=16", None, (0,)),
@@ -61,7 +59,7 @@ def test_record_repr_and_defaults():
     assert _Plan("full") == _Plan("full", None, (), None)
     assert RamseyCertificate((3,), 5, True, "x").clique_color is None
     assert ColorSearch("full", 1) != ColorSearch("full", 2)
-    assert BlockMap(0, 2, 3) != ColorSearch(0, 2)
+    assert ColorSearch(4, (1, 2, 9)) != NormalizedWitness(4, (1, 2, 9))  # equal fields
 
 
 def test_equal_fields_share_one_table_build():
