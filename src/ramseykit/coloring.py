@@ -7,10 +7,14 @@ representations are supported:
   {u, v} depends only on the difference v - u.  Stored as per-color
   connection sets (each closed under negation, so the coloring is
   symmetric).
-* explicit: one byte per edge in a flat upper-triangular buffer, read as rows
-  through ``ExplicitColoring.tri_rows`` and ``ExplicitColoring.matrix``.
-  The clique search reads ``ExplicitColoring.rows_above``, built row by
-  row from the triangle, with no n^2 buffer.
+* explicit: one byte per edge in a flat upper-triangular buffer.
+
+Each kind gives its colors a triangle row at a time: ``tri_row(u)``, the
+colors of the edges {u, v} for v > u, is a slice of the buffer, of the
+difference colors for Z_p, or a gather by field subtraction for GF(p^k).
+``EdgeColoring`` builds everything else from it: ``tri_rows``, ``matrix``,
+``to_explicit`` and ``neighbor_rows``, the bits above each vertex that the
+clique search reads, each row built on first use, with no n^2 buffer.
 
 The text file format is line oriented and version tagged::
 
@@ -56,6 +60,7 @@ from __future__ import annotations
 import re
 
 from .field import FieldSpec
+from .parallel import Rows
 from .records import FormatError, canonical_int
 
 HEADER = "ramsey-coloring v1"
@@ -81,13 +86,42 @@ class EdgeColoring:
         """Color of the edge {u, v}; symmetric, O(1)."""
         raise NotImplementedError
 
-    def to_explicit(self) -> "ExplicitColoring":
+    def tri_row(self, u: int) -> bytes:
+        """The colors of the edges {u, u+1} .. {u, n-1} as bytes: row u of
+        the matrix, right of the diagonal (empty for u = n - 1)."""
         raise NotImplementedError
 
-    def neighbor_rows(self, color: int) -> list[int]:
-        """Per-vertex adjacency bitmasks of one color class (bit v of row u
-        is set iff {u, v} has that color), indexed by vertex."""
-        raise NotImplementedError
+    def tri_rows(self):
+        """The triangle rows ``tri_row(u)`` for u = 0..n-2, in order."""
+        return map(self.tri_row, range(self.n - 1))
+
+    def matrix(self) -> bytearray:
+        """Symmetric row-major n*n byte matrix of the edge colors, 0 on the
+        diagonal."""
+        n = self.n
+        m = bytearray(n * n)
+        for u, row in enumerate(self.tri_rows()):
+            m[u * n + u + 1:(u + 1) * n] = row  # row u, right of the diagonal
+            m[(u + 1) * n + u::n] = row          # column u, below it
+        return m
+
+    def to_explicit(self) -> "ExplicitColoring":
+        return ExplicitColoring(self.n, self.num_colors, b"".join(self.tri_rows()))
+
+    def neighbor_rows(self, color: int) -> Rows:
+        """Per-vertex bitmasks of one color class above each vertex: bit v of
+        row u is set iff v > u and {u, v} has that color.  Row u is built
+        from ``tri_row(u)`` when it is first read."""
+        self._check_color(color)
+        bits = bytearray(b"0" * 256)  # a bytes.translate table: color -> "1"
+        bits[color] = ord("1")
+        tri_row = self.tri_row
+
+        def build(u: int) -> int:
+            # reversed so that the edge {u, v} lands on bit v - u - 1, then shifted
+            return int(tri_row(u).translate(bits)[::-1] or b"0", 2) << (u + 1)
+
+        return Rows(build)
 
     def _check_pair(self, u: int, v: int) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -139,40 +173,17 @@ class CirculantColoring(EdgeColoring):
         self._check_pair(u, v)
         return self._diff_color[self.field.sub(v, u)]
 
-    def neighbor_rows(self, color: int) -> "_CirculantRows":
-        self._check_color(color)
-        return _CirculantRows(self.field, self.connection_sets[color - 1])
+    # own attributes of each kind, so that the traced replay of ``bench``,
+    # which wraps them on the class and then sets them back, leaves it as it was
+    neighbor_rows = EdgeColoring.neighbor_rows
+    to_explicit = EdgeColoring.to_explicit
 
-    def to_explicit(self) -> "ExplicitColoring":
-        n = self.n
-        dc = self._diff_color
+    def tri_row(self, u: int) -> bytes:
+        n, dc = self.n, self._diff_color
         if self.field.degree == 1:
-            # row u lists differences 1 .. n-1-u in order
-            tri = b"".join(dc[1:n - u] for u in range(n - 1))
-        else:
-            sub = self.field.sub
-            tri = bytes(dc[sub(v, u)] for u in range(n - 1) for v in range(u + 1, n))
-        return ExplicitColoring(n, self.num_colors, tri)
-
-
-class _CirculantRows(dict):
-    """Row u of one color class of a circulant coloring: the bitmask of u + d
-    over the color's connection set, built on first use (a symmetric search
-    reads a few of the n rows; see ``verify``)."""
-
-    def __init__(self, field: FieldSpec, conn: tuple[int, ...]):
-        super().__init__()
-        self.field, self.conn = field, conn
-
-    def __missing__(self, u: int) -> int:
-        f = self.field
-        if f.degree == 1 and u:  # row u is row 0 rotated left by u
-            n, base = f.order, self[0]
-            row = ((base << u) | (base >> (n - u))) & ((1 << n) - 1)
-        else:
-            row = sum(1 << f.add(u, d) for d in self.conn)
-        self[u] = row
-        return row
+            return dc[1:n - u]  # the differences 1 .. n-1-u, in order
+        sub = self.field.sub
+        return bytes([dc[sub(v, u)] for v in range(u + 1, n)])
 
 
 class ExplicitColoring(EdgeColoring):
@@ -216,56 +227,14 @@ class ExplicitColoring(EdgeColoring):
         return self._tri[u * (2 * self.n - u - 3) // 2 + v - 1]
 
     def tri_row(self, u: int) -> bytes:
-        """The colors of the edges {u, u+1} .. {u, n-1} as bytes: row u of
-        the matrix, right of the diagonal (empty for u = n - 1)."""
         n = self.n
         start = u * (2 * n - u - 1) // 2
         return bytes(memoryview(self._tri)[start:start + n - 1 - u])
 
-    def tri_rows(self):
-        """The triangle rows ``tri_row(u)`` for u = 0..n-2, in order."""
-        return map(self.tri_row, range(self.n - 1))
-
-    def matrix(self, table=None) -> bytearray:
-        """Symmetric row-major n*n byte matrix of the edge colors, 0 on the
-        diagonal.  With a 256-byte table every entry is mapped through it
-        (``bytes.translate``), so the diagonal becomes ``table[0]``."""
-        n = self.n
-        m = bytearray([0 if table is None else table[0]]) * (n * n)
-        for u, row in enumerate(self.tri_rows()):
-            if table is not None:
-                row = row.translate(table)
-            m[u * n + u + 1:(u + 1) * n] = row  # row u, right of the diagonal
-            m[(u + 1) * n + u::n] = row          # column u, below it
-        return m
-
-    def neighbor_rows(self, color: int) -> list[int]:
-        self._check_color(color)
-        n, m = self.n, self.matrix(_color_bits(color))
-        # reversed so that column v lands on bit v
-        return [int(m[u * n:(u + 1) * n][::-1], 2) for u in range(n)]
-
-    def rows_above(self, color: int) -> list[int]:
-        """Per-vertex bitmasks of one color class above the vertex: bit v of
-        row u is set iff v > u and {u, v} has that color.  Row u comes from
-        triangle row u alone, so no n^2 buffer is built."""
-        self._check_color(color)
-        bits = _color_bits(color)
-        # reversed so that the edge {u, v} lands on bit v - u - 1, then shifted
-        rows = [int(row.translate(bits)[::-1], 2) << (u + 1)
-                for u, row in enumerate(self.tri_rows())]
-        rows.append(0)  # the last vertex has none above it
-        return rows
+    neighbor_rows = EdgeColoring.neighbor_rows  # own attribute, as above
 
     def to_explicit(self) -> "ExplicitColoring":
         return self
-
-
-def _color_bits(color: int) -> bytes:
-    """A bytes.translate table taking ``color`` to "1" and every other byte to "0"."""
-    bits = bytearray(b"0" * 256)
-    bits[color] = ord("1")
-    return bytes(bits)
 
 
 def build_cayley_coloring(partition: residues.CosetPartition) -> CirculantColoring:

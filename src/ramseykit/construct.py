@@ -99,7 +99,7 @@ def chung_compose(comp: CompositionInput, validate: bool = True) -> ExplicitColo
 
     nT, nG = T.n, G.n
     n = 3 * nT + nG
-    tm = T.to_explicit().matrix()
+    tm = T.matrix()
     # one triangle, filled row by row and adopted by the coloring: no list of
     # rows and no joined copy (CompositionInput bounds n by MAX_VERTICES)
     tri, start = bytearray(n * (n - 1) // 2), 0
@@ -114,7 +114,7 @@ def chung_compose(comp: CompositionInput, validate: bool = True) -> ExplicitColo
             tri[start:start + len(row)] = row
             start += len(row)
     plus3 = bytes([0, *range(4, 256), 0, 0, 0])  # G's colors + 3
-    for row in G.to_explicit().tri_rows():
+    for row in G.tri_rows():
         tri[start:start + len(row)] = row.translate(plus3)
         start += len(row)
     return ExplicitColoring(n, len(targets) + 3, tri, _adopt=True)

@@ -5,13 +5,12 @@ finds the least k-clique whose minimum vertex is one of the given roots,
 and ``orbit_search`` decides whether any k-clique exists by searching one
 vertex per orbit of a symmetry group.  ``verify`` runs both on a coloring's
 neighbour rows, ``residues`` on the difference rows of the sieved residue
-list.
+list, each row built on first read (``Rows``).
 
-Which bits of a row the kernel reads.  The rows are either symmetric (bit
-v of row u iff bit u of row v) or hold only the bits above their own
-vertex (``residues``, and explicit colorings in ``verify``), and both give
-the same cliques and node counts wherever the kernel reads only bits above
-the row's vertex:
+Which bits of a row the kernel reads.  Every row in the package holds only
+the bits above its own vertex.  Symmetric rows (bit v of row u iff bit u
+of row v) give the same cliques and node counts, because the kernel reads
+no bit below a row's own vertex:
 
 * ``_search_roots`` masks each root's row above the root;
 * both loops in ``_dfs`` take the least candidate v out of the set, and so
@@ -21,26 +20,24 @@ the row's vertex:
   hold an edge iff ``cand & OR(rows[v] for v in cand)`` is not zero (no
   row holds its own vertex's bit);
 * ``orbit_search`` reads the row of each orbit's least member s against
-  the set left after the earlier orbits, which is above s when those
-  orbits hold every vertex below s (the vertex orbits of ``verify``).  A
-  candidate set below s, as in an edge orbit of a circulant coloring
-  (prefix 0 and s), needs symmetric rows.
+  the candidates left after the earlier orbits.  The orbits cover every
+  common neighbour of the prefix and are searched by least member, so a
+  candidate below s lies in an earlier orbit and is excluded.
 
 One vertex still needed is answered at entry by the least candidate.  At
 every other level one loop peels the least candidate v while ``need`` or
 more remain and descends into v's neighbours among those left, so the top
 ``need - 1`` candidates' rows are never read.  Two still needed is the hot
 level of the K3 searches of composed witnesses, whose candidate sets there
-are dense.  On rows in a ``list`` (explicit rows, and every full scan),
-``_DENSE`` or more candidates are first decided by one OR of their rows in
-C (``reduce`` over ``compress``; San Segundo et al., An exact bit-parallel
-algorithm for the maximum clique problem, 2011), and a miss, the usual
-answer, ends the node.  Rows built on first use (a ``dict`` with
-``__missing__``: ``residues``, circulant ``verify``) skip it: the OR would
-build every candidate's row, the loop only those it reads (``search
---galois 3,8 --mod 2 -t 7`` took 0.33-0.44 s in-process with the OR on
-such rows, 0.04-0.05 s without).  Node counts are those of the plain loop,
-which peels the least candidate bit at every level.
+are dense.  On rows in a ``list`` (``verify`` builds one for a plan
+rooted at every vertex), ``_DENSE`` or more candidates are first decided
+by one OR of their rows in C (``reduce`` over ``compress``; San Segundo et
+al., An exact bit-parallel algorithm for the maximum clique problem,
+2011), and a miss, the usual answer, ends the node.  ``Rows`` skip it: the
+OR would build every candidate's row, the loop only those it reads
+(``search --galois 3,8 --mod 2 -t 7`` took 0.33-0.44 s in-process with the
+OR on such rows, 0.04-0.05 s without).  Node counts are those of the plain
+loop, which peels the least candidate bit at every level.
 """
 
 from __future__ import annotations
@@ -59,6 +56,21 @@ from operator import or_
 _DENSE = 16
 
 _ONES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" digits to false/true bytes
+
+
+class Rows(dict):
+    """``rows[v]`` is ``build(v)``, built on first read and kept: a search
+    often reads a few of the rows."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, v: int) -> int:
+        row = self[v] = self.build(v)
+        return row
 
 
 def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
@@ -109,9 +121,8 @@ def orbit_search(rows, k: int, orbits, prefix: tuple[int, ...] = ()) -> tuple[bo
     of automorphisms of ``rows`` that fix every vertex of ``prefix``.  Any
     k-clique through ``prefix`` maps into that shape (send a vertex of the
     first orbit it meets to the orbit's least member), so a miss on every
-    orbit proves that there is none.  When every vertex left after the
-    excluded orbits lies above s, rows holding only the bits above their
-    own vertex suffice (``residues``)."""
+    orbit proves that there is none.  The orbits must cover every common
+    neighbour of ``prefix``, every vertex when it is empty."""
     stats = [0]
     base = -1
     for v in prefix:

@@ -41,7 +41,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .field import FieldSpec, generator_powers, multiplicative_generator
-from .parallel import _search_roots, orbit_search
+from .parallel import Rows, _search_roots, orbit_search
 from .records import record
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # false/true bytes to "0"/"1" digits
@@ -154,26 +154,23 @@ class NormalizedWitness(record("NormalizedWitness", "t elements")):
         return (0,) + tuple(sorted(self.elements))
 
 
-class _DiffRows(dict):
+def _diff_rows(partition: CosetPartition, sv: tuple[int, ...]) -> Rows:
     """Row i: bitmask of the indices j > i with sv[j] - sv[i] a residue,
     built on first use (a witness often turns up after a handful of rows).
     With sv[i] = h^a, bit j is z[(log sv[j] - a) mod |H|]: one gather at
     the sieved exponents from z rotated by a."""
+    z = partition._less_one.translate(_DIGITS).decode()
+    size, zz = len(z), z + z
+    exps = list(map(partition._log.__getitem__, sv))
+    # the highest index is the leading binary digit; a single exponent
+    # gathers one character, not a tuple, which join takes the same way
+    gather = itemgetter(*reversed(exps))
 
-    def __init__(self, partition: CosetPartition, sv: tuple[int, ...]):
-        super().__init__()
-        z = partition._less_one.translate(_DIGITS).decode()
-        self.size, self.zz = len(z), z + z
-        self.exps = list(map(partition._log.__getitem__, sv))
-        # the highest index is the leading binary digit; a single exponent
-        # gathers one character, not a tuple, which join takes the same way
-        self.gather = itemgetter(*reversed(self.exps))
+    def build(i: int) -> int:
+        shift = size - exps[i]  # rotated[e] = z[(e - a) mod |H|]
+        return int("".join(gather(zz[shift:shift + size])), 2) >> (i + 1) << (i + 1)
 
-    def __missing__(self, i: int) -> int:
-        shift = self.size - self.exps[i]  # rotated[e] = z[(e - a) mod |H|]
-        bits = "".join(self.gather(self.zz[shift:shift + self.size]))
-        row = self[i] = int(bits, 2) >> (i + 1) << (i + 1)
-        return row
+    return Rows(build)
 
 
 def _flip(partition: CosetPartition, sv) -> list[int]:
@@ -227,7 +224,7 @@ def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitne
     element order) or None if the Cayley coloring built from this
     partition contains no monochromatic K_t in any color.  The t - 2
     elements besides 1 form a clique of the difference rows of the sieved
-    residue list (``_DiffRows``).  ``parallel.orbit_search`` over the
+    residue list (``_diff_rows``).  ``parallel.orbit_search`` over the
     anharmonic orbits decides whether one exists; on a hit the ascending
     bitset search of ``parallel._search_roots`` over that ascending list
     returns the least.
@@ -244,7 +241,7 @@ def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitne
     if need == 1:  # the kernel needs cliques of two or more
         found = (0,) if sv else None
     elif sv:
-        rows = _DiffRows(partition, sv)
+        rows = _diff_rows(partition, sv)
         hit, _ = orbit_search(rows, need, anharmonic_orbits(partition, sv))
         if hit:
             found, _ = _search_roots(rows, need, range(len(sv) - need + 1))

@@ -6,15 +6,15 @@ every clique it reports is re-checked pairwise before being returned.
 
 Candidate sets are int bitmasks (bit v = vertex v), searched by the
 kernel in ``parallel`` in static ascending vertex order with the usual
-branch-and-bound prune on |candidates| < vertices still needed.  A
-circulant coloring gives the kernel its symmetric neighbour rows
-(``neighbor_rows``, built on first use), because an edge orbit's
-candidates lie below the orbit's least member too.  An explicit coloring
-gives it the rows above each vertex (``ExplicitColoring.rows_above``,
-bit v of row u only for v > u), built from the triangle without an n^2
-matrix: its full scans and vertex-orbit searches read no bit below a
-row's own vertex (see ``parallel``), so the cliques and node counts are
-those of the symmetric rows.
+branch-and-bound prune on |candidates| < vertices still needed.  The
+kernel reads a coloring's ``neighbor_rows``: bit v of row u only for
+v > u, each row built from the coloring's triangle row on first read.  A
+plan rooted at every vertex (a full scan, vertex orbits) builds the whole
+row list once; edge orbits read only the rows they reach.  No search
+reads a bit below a row's own vertex (see ``parallel``): orbits are
+searched by least member, and each orbit's members are excluded from the
+orbits after it, so every candidate of an orbit lies above its least
+member.
 
 Symmetry.  Before searching, the verifier looks for a symmetry of the
 coloring, proves it from the coloring's own data, and turns it into one
@@ -230,21 +230,18 @@ def _rotation_plans(coloring: EdgeColoring, targets: dict[int, int], b: int,
 
 def _find(coloring: EdgeColoring, color: int, k: int,
           plan: _Plan) -> tuple[tuple[int, ...] | None, int]:
-    # the rows above each vertex, except for edge orbits (module docstring)
-    rows = (coloring.neighbor_rows(color) if coloring.is_circulant
-            else coloring.rows_above(color))
+    rows = coloring.neighbor_rows(color)
+    if not plan.prefix:
+        # rooted at every vertex, the search reads every row: one list, built
+        # once, indexes faster and takes the kernel's OR test
+        rows = list(map(rows.build, range(coloring.n)))
     nodes = 0
     if plan.orbits is not None:
         hit, nodes = orbit_search(rows, k, plan.orbits, plan.prefix)
         if not hit:
             return None, nodes
-    if plan.prefix:
-        roots = plan.prefix  # a circulant's least clique passes through 0
-    else:
-        # a full scan reads every row, and a list indexes faster than the
-        # lazily built rows of a circulant coloring
-        roots = range(coloring.n)
-        rows = [rows[u] for u in roots]
+    # a circulant's least clique passes through 0, its edge orbits' prefix
+    roots = plan.prefix or range(coloring.n)
     clique, scanned = _search_roots(rows, k, roots)
     if clique is not None:
         _recheck_clique(coloring, color, clique)
@@ -362,13 +359,12 @@ class RamseyCertificate(record("RamseyCertificate",
         return "\n".join(lines) + "\n"
 
 
-def certify(coloring: EdgeColoring, targets, out=None, *,
-            symmetry: bool = True) -> RamseyCertificate:
+def certify(coloring: EdgeColoring, targets, out=None) -> RamseyCertificate:
     """Verify a coloring and (optionally) write the certificate file.
 
     The coloring is hashed only for a file: without ``out`` the verdict is
     decided alone and ``coloring_sha`` is None."""
-    report = verify_witness(coloring, targets, symmetry=symmetry)
+    report = verify_witness(coloring, targets)
     sha = None if out is None else coloring_digest(coloring)
     if report.passed:
         cert = RamseyCertificate(report.targets, coloring.n, True, sha)

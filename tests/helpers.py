@@ -291,16 +291,27 @@ def token_loads(text):
         raise FormatError(str(exc)) from exc
 
 
+def symmetric_rows(coloring, color):
+    """Per-vertex bitmasks of one color class with every neighbour: bit v of
+    row u is set iff u != v and {u, v} has that color.  Read off the n^2
+    color matrix as ``neighbor_rows`` read it before its rows held only the
+    bits above each vertex: the matrix translated to "0"/"1" digits, each
+    row reversed so that column v lands on bit v."""
+    n, bits = coloring.n, bytearray(b"0" * 256)
+    bits[color] = ord("1")
+    m = coloring.matrix().translate(bits)
+    return [int(m[u * n:(u + 1) * n][::-1], 2) for u in range(n)]
+
+
 def full_row_find(coloring, color, k, symmetry=True):
     """Least k-clique of one color and the search nodes, as the verifier
-    found them on the symmetric neighbour rows of an explicit coloring,
-    before it searched the rows above each vertex: the same plan, searched
-    on ``neighbor_rows``."""
+    found them on symmetric neighbour rows, before it searched the rows
+    above each vertex: the same plan, searched on ``symmetric_rows``."""
     from ramseykit import verify
     from ramseykit.parallel import _search_roots, orbit_search
 
     plan = verify._plans(coloring, {color: k}, symmetry)[color]
-    rows = coloring.neighbor_rows(color)
+    rows = symmetric_rows(coloring, color)
     nodes = 0
     if plan.orbits is not None:
         hit, nodes = orbit_search(rows, k, plan.orbits, plan.prefix)

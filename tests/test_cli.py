@@ -334,6 +334,19 @@ def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: reported clique")
 
 
+def test_uncaught_crash_exits_3_not_refuted(tmp_path, capsys):
+    # color 1 is all of K_1100 but one edge, so it has no K_1100, but the
+    # search for one recurses deeper than the interpreter allows: the
+    # RecursionError is an internal failure, not the refuted code 1
+    n = 1100
+    col = ExplicitColoring.from_function(n, 2, lambda u, v: 2 if u == n - 2 else 1)
+    save_coloring(col, tmp_path / "k1100.col")
+    code, out, err = run(capsys, "verify", "-i", str(tmp_path / "k1100.col"),
+                         "--targets", "1100,3")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: RecursionError: ")
+
+
 def test_closed_stdout_exits_3():
     # `ramseykit primes ... | head -1`: about 140 KB of output, far more than
     # the pipe holds, so writes go on after the reader has gone

@@ -15,6 +15,8 @@ from ramseykit.coloring import (
     save_coloring,
 )
 
+from helpers import symmetric_rows
+
 
 def pentagon():
     return build_cayley_coloring(power_cosets(make_field(5), 2))
@@ -77,15 +79,18 @@ def test_to_explicit_preserves_colors():
 
 
 def test_neighbor_rows_match_edge_colors():
+    # the symmetric reference holds every neighbour; neighbor_rows the ones
+    # above each vertex, on both kinds and for a Galois field
     for col in (pentagon(),
                 build_cayley_coloring(power_cosets(make_field(2, 4), 3)),
                 pentagon().to_explicit()):
         for color in range(1, col.num_colors + 1):
-            rows = col.neighbor_rows(color)
+            reference, rows = symmetric_rows(col, color), col.neighbor_rows(color)
             for u in range(col.n):
                 for v in range(col.n):
                     expected = u != v and col.edge_color(u, v) == color
-                    assert bool(rows[u] >> v & 1) == expected
+                    assert bool(reference[u] >> v & 1) == expected
+                assert rows[u] == reference[u] >> (u + 1) << (u + 1)
 
 
 def test_explicit_from_function_and_validation():

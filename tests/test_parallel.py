@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit import build_cayley_coloring, make_field, parallel, power_cosets
-from ramseykit.parallel import _DENSE, _search_roots, orbit_search
+from ramseykit.parallel import _DENSE, Rows, _search_roots, orbit_search
 
-from helpers import loop_search_roots
+from helpers import loop_search_roots, symmetric_rows
 
 
 @st.composite
@@ -62,19 +62,16 @@ def test_orbit_search_with_trivial_orbits_decides_existence(rows, k, upper):
     assert hit == (_search_roots(rows, k, range(len(rows)))[0] is not None)
 
 
-class _BuiltOnFirstUse(dict):
-    """Rows built on first use, as ``residues._DiffRows`` and
-    ``coloring._CirculantRows`` build them; ``built`` lists the rows built,
+def _built_on_first_use(rows):
+    """``parallel.Rows`` over ``rows``, and the list of the rows it builds,
     in order."""
+    built = []
 
-    def __init__(self, rows):
-        super().__init__()
-        self.rows, self.built = rows, []
+    def build(v):
+        built.append(v)
+        return rows[v]
 
-    def __missing__(self, v):
-        self.built.append(v)
-        row = self[v] = self.rows[v]
-        return row
+    return Rows(build), built
 
 
 def test_kernel_on_triangle_free_dense_rows():
@@ -89,10 +86,10 @@ def test_kernel_on_triangle_free_dense_rows():
         if extra_edge:  # one edge inside the second part
             rows[151] |= 1 << 170
             rows[170] |= 1 << 151
-        lazy, oracle = _BuiltOnFirstUse(rows), _BuiltOnFirstUse(rows)
+        (lazy, built), (oracle, read) = _built_on_first_use(rows), _built_on_first_use(rows)
         assert _search_roots(rows, 3, range(n)) == _search_roots(lazy, 3, range(n)) \
             == loop_search_roots(oracle, 3, range(n)) == want
-        assert lazy.built == oracle.built
+        assert built == read
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,10 +100,10 @@ def test_lazy_rows_build_only_what_the_walk_reads(rows, k, upper):
     if upper:
         rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
     roots = range(len(rows))
-    lazy, oracle = _BuiltOnFirstUse(rows), _BuiltOnFirstUse(rows)
+    (lazy, built), (oracle, read) = _built_on_first_use(rows), _built_on_first_use(rows)
     assert _search_roots(lazy, k, roots) == _search_roots(rows, k, roots) \
         == loop_search_roots(oracle, k, roots)
-    assert lazy.built == oracle.built
+    assert built == read
 
 
 def _counting_compress(monkeypatch):
@@ -185,8 +182,7 @@ def test_roots_are_searched_in_order(hits, want, upper):
 
 
 def _paley17():
-    paley = build_cayley_coloring(power_cosets(make_field(17), 2)).to_explicit()
-    return paley.neighbor_rows(1)
+    return symmetric_rows(build_cayley_coloring(power_cosets(make_field(17), 2)), 1)
 
 
 @pytest.mark.parametrize("graph, k, n, split, clique", [

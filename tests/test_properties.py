@@ -10,6 +10,7 @@ from ramseykit import (
     CompositionInput,
     ExplicitColoring,
     FormatError,
+    build_cayley_coloring,
     chung_compose,
     coloring_digest,
     dumps_coloring,
@@ -17,13 +18,14 @@ from ramseykit import (
     load_coloring,
     loads_coloring,
     make_field,
+    power_cosets,
     verify,
     verify_witness,
 )
 from ramseykit import coloring as coloring_mod
 
-from helpers import (composed_color, full_row_find, matrix_rotates, token_dumps, token_loads,
-                     whole_text_load)
+from helpers import (composed_color, full_row_find, matrix_rotates, symmetric_rows,
+                     token_dumps, token_loads, whole_text_load)
 
 
 @st.composite
@@ -35,6 +37,20 @@ def explicit_colorings(draw, max_n=30, max_colors=12, num_colors=None):
     return ExplicitColoring(n, c, bytes(tri))
 
 
+@st.composite
+def circulant_colorings(draw):
+    """A random coloring of Z_p or GF(p^k) by the classes {d, -d}."""
+    field = make_field(*draw(st.sampled_from([(2, 1), (5, 1), (13, 1), (31, 1), (101, 1),
+                                              (3, 2), (2, 4), (5, 2)])))
+    num_colors = draw(st.integers(1, 12))
+    sets = [[] for _ in range(num_colors)]
+    for d in range(1, field.order):
+        if d <= field.neg(d):  # the class {d, -d}, once
+            color = draw(st.integers(0, num_colors - 1))
+            sets[color] += {d, field.neg(d)}
+    return CirculantColoring(field, sets)
+
+
 single_vertex = ExplicitColoring(1, 1, b"")
 single_edge_color_12 = ExplicitColoring(2, 12, b"\x0c")
 
@@ -44,6 +60,8 @@ single_edge_color_12 = ExplicitColoring(2, 12, b"\x0c")
 @example(single_vertex)
 @example(single_edge_color_12)
 def test_matrix_matches_edge_color(col):
+    # the matrix, and each color's symmetric rows read off it through a
+    # translate table, against the per-edge colors
     n = col.n
     m = col.matrix()
     assert len(m) == n * n
@@ -52,34 +70,38 @@ def test_matrix_matches_edge_color(col):
         for v in range(n):
             if u != v:
                 assert m[u * n + v] == col.edge_color(u, v)
-    table = bytes(range(255, -1, -1))
-    assert col.matrix(table) == m.translate(table)
+    for color in range(1, col.num_colors + 1):
+        assert symmetric_rows(col, color) == [
+            sum(1 << v for v in range(n) if v != u and col.edge_color(u, v) == color)
+            for u in range(n)]
 
 
 @settings(deadline=None)
-@given(explicit_colorings())
+@given(st.one_of(explicit_colorings(), circulant_colorings()))
 @example(single_vertex)
 @example(single_edge_color_12)
 def test_neighbor_rows_match_edge_color(col):
+    # each row is the symmetric reference row masked above its vertex, on
+    # explicit, Z_p and GF(p^k) colorings
     for color in range(1, col.num_colors + 1):
-        rows = col.neighbor_rows(color)
-        assert len(rows) == col.n
-        for u in range(col.n):
-            expected = sum(1 << v for v in range(col.n)
-                           if v != u and col.edge_color(u, v) == color)
-            assert rows[u] == expected
+        reference, rows = symmetric_rows(col, color), col.neighbor_rows(color)
+        assert [rows[u] for u in range(col.n)] == \
+            [(row >> (u + 1)) << (u + 1) for u, row in enumerate(reference)]
 
 
 @settings(deadline=None)
-@given(explicit_colorings())
-@example(single_vertex)
-@example(single_edge_color_12)
-def test_rows_above_are_the_neighbor_rows_above_each_vertex(col):
+@given(explicit_colorings(), st.randoms(use_true_random=False))
+@example(single_vertex, random.Random(0))
+@example(single_edge_color_12, random.Random(0))
+def test_rows_above_are_the_neighbor_rows_above_each_vertex(col, rng):
+    # a row is built when it is first read, in any order, and only then
     for color in range(1, col.num_colors + 1):
-        full, above = col.neighbor_rows(color), col.rows_above(color)
-        assert len(above) == col.n
-        for u in range(col.n):
-            assert above[u] == (full[u] >> (u + 1)) << (u + 1)
+        reference, rows = symmetric_rows(col, color), col.neighbor_rows(color)
+        order = list(range(col.n))
+        rng.shuffle(order)
+        for read, u in enumerate(order[:len(order) // 2 + 1]):
+            assert len(rows) == read  # every row read before is kept, no other built
+            assert rows[u] == (reference[u] >> (u + 1)) << (u + 1)
 
 
 @settings(deadline=None)
@@ -250,20 +272,6 @@ def test_each_line_change_loads_as_the_whole_text_in_small_chunks(tmp_path, monk
     test_each_line_change_loads_as_the_whole_text(tmp_path, kind)
 
 
-@st.composite
-def circulant_colorings(draw):
-    """A random coloring of Z_p or GF(p^k) by the classes {d, -d}."""
-    field = make_field(*draw(st.sampled_from([(2, 1), (5, 1), (13, 1), (31, 1), (101, 1),
-                                              (3, 2), (2, 4), (5, 2)])))
-    num_colors = draw(st.integers(1, 12))
-    sets = [[] for _ in range(num_colors)]
-    for d in range(1, field.order):
-        if d <= field.neg(d):  # the class {d, -d}, once
-            color = draw(st.integers(0, num_colors - 1))
-            sets[color] += {d, field.neg(d)}
-    return CirculantColoring(field, sets)
-
-
 @settings(deadline=None)
 @given(st.one_of(explicit_colorings(max_n=40), circulant_colorings()))
 @example(single_vertex)
@@ -347,6 +355,30 @@ def test_search_on_rows_above_matches_the_full_rows(col, k, symmetry):
         report = verify_witness(col, targets, symmetry=symmetry)
         assert report.cliques[color - 1] == clique
         assert report.searches[color - 1].nodes == nodes
+
+
+def _cayley(p, k, m):
+    return build_cayley_coloring(power_cosets(make_field(p, k), m))
+
+
+@settings(deadline=None, max_examples=60)
+@given(circulant_colorings(), st.integers(2, 5))
+@example(_cayley(17, 1, 2), 4)  # Paley(17): K3s, no K4
+@example(_cayley(37, 1, 3), 3)
+@example(_cayley(2, 4, 3), 3)
+@example(_cayley(3, 4, 4), 3)
+@example(_cayley(5, 2, 3), 4)
+def test_edge_orbits_on_rows_above_match_the_symmetric_rows(col, k):
+    # Z_p and GF(p^k): the edge orbits find the same clique in the same nodes
+    # on the rows above each vertex as on the symmetric reference rows
+    assume(k <= col.n)
+    for color in range(1, col.num_colors + 1):
+        clique, nodes = full_row_find(col, color, k)
+        assert find_mono_clique(col, color, k) == clique
+        targets = [col.n + 1] * col.num_colors  # only this color is searched
+        targets[color - 1] = k
+        search = verify_witness(col, targets).searches[color - 1]
+        assert search.method.startswith("edge-orbits") and search.nodes == nodes
 
 
 @st.composite

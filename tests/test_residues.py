@@ -6,7 +6,7 @@ from ramseykit import admissible_orders, build_cayley_coloring, find_mono_clique
 from ramseykit.parallel import _search_roots, orbit_search
 from ramseykit.residues import (
     NormalizedWitness,
-    _DiffRows,
+    _diff_rows,
     _flip,
     anharmonic_orbits,
     find_normalized_clique,
@@ -202,7 +202,7 @@ def test_walk_and_clique_search_match_oracles():
         closed += 1
         sv = tuple(sieve(part))
         if sv:
-            rows, reference = _DiffRows(part, sv), FieldDiffRows(part, sv)
+            rows, reference = _diff_rows(part, sv), FieldDiffRows(part, sv)
             assert [rows[i] for i in range(len(sv))] == \
                 [reference[i] for i in range(len(sv))], (spec, m)
             rows_checked += len(sv)
