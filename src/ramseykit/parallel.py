@@ -1,28 +1,41 @@
 """The bitset clique kernel.
 
-``rows[v]`` is vertex v's neighbour set as an int bitmask; ``_search_roots``
-finds the least k-clique whose minimum vertex is one of the given roots,
-and ``orbit_search`` decides whether any k-clique exists by searching one
-vertex per orbit of a symmetry group.  ``verify`` runs both on a coloring's
+``rows[v]`` is vertex v's neighbour set as an int bitmask.  The one entry
+point, ``orbit_search``, returns the least k-clique through a prefix by
+searching one vertex per orbit of a symmetry group; a full scan passes
+every vertex as its own orbit.  ``verify`` runs it on a coloring's
 neighbour rows, ``residues`` on the difference rows of the sieved residue
 list, each row built on first read (``Rows``).
+
+Why the first hit is the least clique.  The orbits O_1, O_2, ... of a
+group that fixes the prefix and maps cliques to cliques are searched by
+least member s_1 < s_2 < ..., each with the members of the orbits before
+it excluded, ascending; the first clique found is returned.  Let C be the
+least clique through the prefix and O_i the first orbit that C meets.  An
+automorphism that sends a vertex of C in O_i to s_i maps C to a clique
+through s_i whose other vertices avoid O_1 .. O_(i-1), which the search
+of O_i finds; so the first hit H comes at some s_j, j <= i.  The least
+vertex of C outside the prefix lies in O_i or a later orbit, so it is at
+least s_i >= s_j, while H continues with s_j: as C <= H, it continues with
+s_j too, so i = j and C lies among the cliques through s_j that avoid the
+earlier orbits, of which the ascending search returns the least.  So H is
+C, and no second search is needed to report it.
 
 Which bits of a row the kernel reads.  Every row in the package holds only
 the bits above its own vertex.  Symmetric rows (bit v of row u iff bit u
 of row v) give the same cliques and node counts, because the kernel reads
 no bit below a row's own vertex:
 
-* ``_search_roots`` masks each root's row above the root;
+* ``orbit_search`` reads the row of each orbit's least member s against
+  the candidates left after the earlier orbits.  The orbits cover every
+  common neighbour of the prefix and are searched by least member, so a
+  candidate below s lies in an earlier orbit and is excluded;
 * both loops in ``_dfs`` take the least candidate v out of the set, and so
   everything below v, before they read v's row;
 * the need == 2 OR test reads whole rows, but an edge {v, w} of the
   candidates, v < w, is bit w of row v in both kinds, so the candidates
   hold an edge iff ``cand & OR(rows[v] for v in cand)`` is not zero (no
-  row holds its own vertex's bit);
-* ``orbit_search`` reads the row of each orbit's least member s against
-  the candidates left after the earlier orbits.  The orbits cover every
-  common neighbour of the prefix and are searched by least member, so a
-  candidate below s lies in an earlier orbit and is excluded.
+  row holds its own vertex's bit).
 
 One vertex still needed is answered at entry by the least candidate.  At
 every other level one loop peels the least candidate v while ``need`` or
@@ -98,41 +111,33 @@ def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
     return None
 
 
-def _search_roots(rows, k: int, roots) -> tuple[tuple[int, ...] | None, int]:
-    """Least k-clique (k >= 2) whose minimum vertex is in roots (ascending),
-    plus the number of search nodes visited."""
-    stats = [0]
-    for r in roots:
-        cand = (rows[r] >> (r + 1)) << (r + 1)
-        if cand.bit_count() < k - 1:
-            continue
-        found = _dfs(rows, cand, k - 1, [r], stats)
-        if found is not None:
-            return tuple(found), stats[0]
-    return None, stats[0]
-
-
-def orbit_search(rows, k: int, orbits, prefix: tuple[int, ...] = ()) -> tuple[bool, int]:
-    """Whether some k-clique holds ``prefix`` plus an orbit's least member s,
-    and otherwise only members of s's orbit and of the orbits after it; plus
-    the number of search nodes visited.
+def orbit_search(rows, k: int, orbits,
+                 prefix: tuple[int, ...] = ()) -> tuple[tuple[int, ...] | None, int]:
+    """The least k-clique that holds ``prefix``, or None; plus the number of
+    search nodes visited.
 
     ``orbits`` lists (least member, members) by least member, for a group
-    of automorphisms of ``rows`` that fix every vertex of ``prefix``.  Any
-    k-clique through ``prefix`` maps into that shape (send a vertex of the
-    first orbit it meets to the orbit's least member), so a miss on every
-    orbit proves that there is none.  The orbits must cover every common
-    neighbour of ``prefix``, every vertex when it is empty."""
+    of automorphisms of ``rows`` that fix every vertex of ``prefix``; they
+    partition the common neighbours of ``prefix`` (every vertex when it is
+    empty).  Each orbit's least member s is searched with the members of
+    the orbits before it excluded, and only when its candidates hold the
+    vertices still needed.  A full scan passes every vertex as its own
+    orbit.  See the module docstring for why the first hit is the least
+    clique, in the order of ``prefix`` followed by the rest ascending."""
+    need = k - len(prefix) - 1
+    if need == 0:  # the least member of the first orbit completes the clique
+        return ((*prefix, orbits[0][0]) if orbits else None), 0
     stats = [0]
     base = -1
     for v in prefix:
         base &= rows[v]
-    need = k - len(prefix) - 1
     excluded = 0
     for s, members in orbits:
-        if need == 0 or _dfs(rows, base & rows[s] & ~excluded, need, [*prefix, s],
-                             stats) is not None:
-            return True, stats[0]
+        cand = base & rows[s] & ~excluded
+        if cand.bit_count() >= need:
+            found = _dfs(rows, cand, need, [*prefix, s], stats)
+            if found is not None:
+                return tuple(found), stats[0]
         for x in members:
             excluded |= 1 << x
-    return False, stats[0]
+    return None, stats[0]

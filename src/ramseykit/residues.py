@@ -24,14 +24,15 @@ row x is one gather at the sieved exponents from z rotated by a.  A
 partition sorts its cosets only when something reads them; the search
 does not.
 
-Whether a witness exists is decided first, by one root per orbit of the
-anharmonic group <x -> 1 - x, x -> 1/x> (isomorphic to S_3) on the sieved
-list.  When -1 is a residue both maps send sieved residues to sieved
-residues and residue differences to residue differences: (1 - x) - (1 - y)
-= y - x, 1/x - 1/y = (y - x)/(xy), (1 - r) - 1 = -r and 1/r - 1 =
-(1 - r)/r.  The search checks that each map is an involution of the list
-before it prunes anything.  Only on a hit does the ascending search over
-every root run, for the least witness.
+The search runs one root per orbit of the anharmonic group
+<x -> 1 - x, x -> 1/x> (isomorphic to S_3) on the sieved list.  When -1 is
+a residue both maps send sieved residues to sieved residues and residue
+differences to residue differences: (1 - x) - (1 - y) = y - x, 1/x - 1/y =
+(y - x)/(xy), (1 - r) - 1 = -r and 1/r - 1 = (1 - r)/r, so they map
+cliques of the difference rows to cliques.  The search checks that each
+map is an involution of the list before it prunes anything.  Its first
+hit is the least witness (see ``parallel``); a miss proves that there is
+none.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .field import FieldSpec, generator_powers, multiplicative_generator
-from .parallel import Rows, _search_roots, orbit_search
+from .parallel import Rows, orbit_search
 from .records import record
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # false/true bytes to "0"/"1" digits
@@ -224,10 +225,9 @@ def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitne
     element order) or None if the Cayley coloring built from this
     partition contains no monochromatic K_t in any color.  The t - 2
     elements besides 1 form a clique of the difference rows of the sieved
-    residue list (``_diff_rows``).  ``parallel.orbit_search`` over the
-    anharmonic orbits decides whether one exists; on a hit the ascending
-    bitset search of ``parallel._search_roots`` over that ascending list
-    returns the least.
+    residue list (``_diff_rows``); ``parallel.orbit_search`` over the
+    anharmonic orbits returns the least such clique, which, the list
+    ascending, gives the least witness.
     """
     if t < 3:
         raise ValueError("clique size t must be >= 3")
@@ -236,16 +236,9 @@ def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitne
             "-1 is not an m-th power residue: the coset coloring is ill-defined "
             "and the normalized search does not apply")
     sv = tuple(sieve(partition))
-    need = t - 2
-    found = None
-    if need == 1:  # the kernel needs cliques of two or more
-        found = (0,) if sv else None
-    elif sv:
-        rows = _diff_rows(partition, sv)
-        hit, _ = orbit_search(rows, need, anharmonic_orbits(partition, sv))
-        if hit:
-            found, _ = _search_roots(rows, need, range(len(sv) - need + 1))
-    if found is None:
+    found = sv and orbit_search(_diff_rows(partition, sv), t - 2,
+                                anharmonic_orbits(partition, sv))[0]
+    if not found:
         return None
     witness = NormalizedWitness(t, (1,) + tuple(sv[i] for i in found))
     _check_witness(partition, witness)

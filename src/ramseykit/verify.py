@@ -20,10 +20,12 @@ Symmetry.  Before searching, the verifier looks for a symmetry of the
 coloring, proves it from the coloring's own data, and turns it into one
 search plan per color; it never trusts how the coloring was built.  A
 color with no plan from a proved symmetry gets the full scan (below).
-Whatever the plan, a miss proves that the color has no k-clique, and a
-hit is re-reported by a plain search, so the reported clique is always
-the lexicographically least one and certificates do not depend on the
-plan.  ``VerificationReport.searches`` records each color's method.
+Whatever the plan, ``parallel.orbit_search`` returns the least k-clique
+through the plan's prefix, or proves by a miss that there is none (see
+``parallel`` for why its first hit is the least clique), so the reported
+clique is always the lexicographically least one and certificates do not
+depend on the plan.  ``VerificationReport.searches`` records each color's
+method.
 
 * Circulant colorings: edge orbits (method ``edge-orbits d=<d>``).
   Translating a clique by the negation of one of its vertices gives a
@@ -35,13 +37,13 @@ plan.  ``VerificationReport.searches`` records each color's method.
   proof that g^d preserves every color.  For color c it then searches one
   edge (0, s) per orbit of <g^d> on the connection set S_c, s the orbit's
   least member, and excludes each orbit's members from the orbits searched
-  after it.  After a hit the plain search from root 0 reports the least
-  clique, which passes through 0.  When only the identity preserves the
-  colors (d = n - 1) every orbit is one vertex and this is the search of
-  every clique through 0.  On the Greenwood-Gleason cubic-residue
-  colorings d = 3 and each color is one orbit: the K6 proof for Z_691
-  visits 1,491 nodes (98,243 rooted at 0), the K7 proof for Z_1213 5,795
-  (584,275).
+  after it.  The least clique of the color passes through 0 (translate it
+  by the negation of its least vertex), so the first hit is it.  When only
+  the identity preserves the colors (d = n - 1) every orbit is one vertex
+  and this is the search of every clique through 0.  On the
+  Greenwood-Gleason cubic-residue colorings d = 3 and each color is one
+  orbit: the K6 proof for Z_691 visits 1,491 nodes (98,243 rooted at 0),
+  the K7 proof for Z_1213 5,795 (584,275).
 
 * Explicit colorings: the copy cycle of a triple-copy composition.  In
   the composed witness of ``construct``, the last vertex (in the G part)
@@ -71,15 +73,15 @@ plan.  ``VerificationReport.searches`` records each color's method.
     only after a hit);
   - a color that pi fixes is searched from one root per orbit of <sigma>
     ({i, i+b, i+2b} for i < b, then each v >= 3b alone), earlier orbits
-    excluded (method ``vertex-orbits b=<b>``), with the full scan after a
-    hit;
+    excluded (method ``vertex-orbits b=<b>``);
   - any other color gets the full scan.
-  Verifying the 1493-vertex chain witness against K3 visits 3,496 nodes
+  Verifying the 1493-vertex chain witness against K3 visits 3,429 nodes
   instead of 10,124.  The idea is orbit pruning under a checked
   automorphism group, as in McKay & Piperno, Practical graph isomorphism
   II (2014).
 
-A full scan (method ``full``) searches from every root, in one process.
+A full scan (method ``full``) searches from every root, each vertex its
+own orbit, in one process.
 ``symmetry=False`` gives every color one and looks for no symmetry.
 """
 
@@ -89,7 +91,7 @@ import re
 
 from .coloring import EdgeColoring, FormatError, coloring_digest
 from .field import generator_powers, multiplicative_generator
-from .parallel import _search_roots, orbit_search
+from .parallel import orbit_search
 from .records import canonical_int, record
 
 CERT_HEADER = "ramsey-certificate v1"
@@ -231,21 +233,17 @@ def _rotation_plans(coloring: EdgeColoring, targets: dict[int, int], b: int,
 def _find(coloring: EdgeColoring, color: int, k: int,
           plan: _Plan) -> tuple[tuple[int, ...] | None, int]:
     rows = coloring.neighbor_rows(color)
+    orbits = plan.orbits
+    if orbits is None:  # the full scan: every vertex its own orbit
+        orbits = [(v, (v,)) for v in range(coloring.n)]
     if not plan.prefix:
         # rooted at every vertex, the search reads every row: one list, built
         # once, indexes faster and takes the kernel's OR test
         rows = list(map(rows.build, range(coloring.n)))
-    nodes = 0
-    if plan.orbits is not None:
-        hit, nodes = orbit_search(rows, k, plan.orbits, plan.prefix)
-        if not hit:
-            return None, nodes
-    # a circulant's least clique passes through 0, its edge orbits' prefix
-    roots = plan.prefix or range(coloring.n)
-    clique, scanned = _search_roots(rows, k, roots)
+    clique, nodes = orbit_search(rows, k, orbits, plan.prefix)
     if clique is not None:
         _recheck_clique(coloring, color, clique)
-    return clique, nodes + scanned
+    return clique, nodes
 
 
 def find_mono_clique(coloring: EdgeColoring, color: int, k: int, *,

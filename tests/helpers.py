@@ -234,14 +234,13 @@ def plain_witness(partition, t):
     """Elements of the least normalized K_t witness, or None, by the ascending
     search over every root of the field-arithmetic rows, without the
     anharmonic orbit pruning."""
-    from ramseykit.parallel import _search_roots
     from ramseykit.residues import sieve
 
     sv = tuple(sieve(partition))
     need = t - 2
     if need == 1:
         return (1, sv[0]) if sv else None
-    found, _ = _search_roots(FieldDiffRows(partition, sv), need, range(len(sv) - need + 1))
+    found, _ = loop_search_roots(FieldDiffRows(partition, sv), need, range(len(sv)))
     return None if found is None else (1,) + tuple(sv[i] for i in found)
 
 
@@ -304,21 +303,19 @@ def symmetric_rows(coloring, color):
 
 
 def full_row_find(coloring, color, k, symmetry=True):
-    """Least k-clique of one color and the search nodes, as the verifier
-    found them on symmetric neighbour rows, before it searched the rows
-    above each vertex: the same plan, searched on ``symmetric_rows``."""
+    """Least k-clique of one color and the search nodes on the symmetric
+    reference rows (``symmetric_rows``): the clique by the plain loop from
+    every root (from 0 alone for edge orbits, whose cliques pass through 0),
+    the nodes of the verifier's plan searched on those rows."""
     from ramseykit import verify
-    from ramseykit.parallel import _search_roots, orbit_search
+    from ramseykit.parallel import orbit_search
 
     plan = verify._plans(coloring, {color: k}, symmetry)[color]
     rows = symmetric_rows(coloring, color)
-    nodes = 0
+    clique, nodes = loop_search_roots(rows, k, plan.prefix or range(coloring.n))
     if plan.orbits is not None:
-        hit, nodes = orbit_search(rows, k, plan.orbits, plan.prefix)
-        if not hit:
-            return None, nodes
-    clique, scan_nodes = _search_roots(rows, k, plan.prefix or range(coloring.n))
-    return clique, nodes + scan_nodes
+        nodes = orbit_search(rows, k, plan.orbits, plan.prefix)[1]
+    return clique, nodes
 
 
 def whole_text_load(path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit import build_cayley_coloring, make_field, parallel, power_cosets
-from ramseykit.parallel import _DENSE, Rows, _search_roots, orbit_search
+from ramseykit.parallel import _DENSE, Rows, orbit_search
 
 from helpers import loop_search_roots, symmetric_rows
 
@@ -41,25 +41,76 @@ def graphs(draw):
     return rows
 
 
+def _above(rows):
+    """The rows of the package: only the bits above their own vertex."""
+    return [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+
+
+def _scan(rows, k, roots):
+    """The kernel from each of ``roots``, each its own orbit.  On symmetric
+    rows a root's candidates lie above it only when every vertex below it
+    is an earlier root; on the rows above each vertex, for any roots."""
+    return orbit_search(rows, k, [(r, [r]) for r in roots])
+
+
 @settings(max_examples=100, deadline=None)
-@given(graphs(), st.sampled_from([3, 4]), st.booleans())
-def test_kernel_matches_loop_oracle(rows, k, upper):
-    if upper:
-        # the residue search's rows: only the bits above their own vertex
-        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
-    roots = range(len(rows))
-    assert _search_roots(rows, k, roots) == loop_search_roots(rows, k, roots)
+@given(graphs(), st.sampled_from([3, 4]), st.integers(0, 69))
+def test_kernel_matches_loop_oracle(rows, k, start):
+    # a scan of the roots from ``start`` on, on the rows above each vertex
+    rows = _above(rows)
+    roots = range(start, len(rows))
+    assert _scan(rows, k, roots) == loop_search_roots(rows, k, roots)
 
 
 @settings(max_examples=50, deadline=None)
 @given(graphs(), st.sampled_from([2, 3, 4]), st.booleans())
 def test_orbit_search_with_trivial_orbits_decides_existence(rows, k, upper):
     # under the identity group every vertex is its own orbit: the orbit
-    # search finds a k-clique exactly when the search over every root does
+    # search finds the least k-clique in the nodes of the search over every
+    # root, on symmetric rows and on the rows above each vertex
     if upper:
-        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
-    hit, _ = orbit_search(rows, k, [(v, [v]) for v in range(len(rows))])
-    assert hit == (_search_roots(rows, k, range(len(rows)))[0] is not None)
+        rows = _above(rows)
+    roots = range(len(rows))
+    assert _scan(rows, k, roots) == loop_search_roots(rows, k, roots)
+
+
+@st.composite
+def rotated_graphs(draw):
+    """Rows of a random graph on 3b + g vertices that sigma (rotate
+    0 .. 3b-1 by b, fix the rest) maps onto itself, and the orbits of
+    <sigma>: {i, i+b, i+2b} for i < b, then each fixed vertex alone."""
+    b, g = draw(st.integers(1, 8)), draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.floats(0.2, 0.9))
+    n, r = 3 * b + g, 3 * b
+
+    def sigma(v):
+        return (v + b) % r if v < r else v
+
+    rows, chosen = [0] * n, {}
+    for v in range(n):
+        for u in range(v):
+            images = [(u, v)]
+            for _ in range(2):
+                images.append(tuple(sorted(map(sigma, images[-1]))))
+            if chosen.setdefault(min(images), rng.random() < p):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    orbits = [(i, [i, i + b, i + 2 * b]) for i in range(b)] + [(v, [v]) for v in range(r, n)]
+    return rows, orbits
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotated_graphs(), st.integers(2, 5), st.booleans())
+def test_first_orbit_hit_is_the_least_clique(graph, k, upper):
+    # a clique below the first hit would map into an earlier orbit's search,
+    # or into an earlier candidate of the same orbit: so the orbit search
+    # returns the least clique of the search over every root
+    rows, orbits = graph
+    if upper:
+        rows = _above(rows)
+    assert orbit_search(rows, k, orbits)[0] == \
+        loop_search_roots(rows, k, range(len(rows)))[0]
 
 
 def _built_on_first_use(rows):
@@ -87,7 +138,7 @@ def test_kernel_on_triangle_free_dense_rows():
             rows[151] |= 1 << 170
             rows[170] |= 1 << 151
         (lazy, built), (oracle, read) = _built_on_first_use(rows), _built_on_first_use(rows)
-        assert _search_roots(rows, 3, range(n)) == _search_roots(lazy, 3, range(n)) \
+        assert _scan(rows, 3, range(n)) == _scan(lazy, 3, range(n)) \
             == loop_search_roots(oracle, 3, range(n)) == want
         assert built == read
 
@@ -98,10 +149,10 @@ def test_lazy_rows_build_only_what_the_walk_reads(rows, k, upper):
     # the OR test would build every candidate's row; on lazily built rows
     # the kernel reads the rows the plain loop reads, and no others
     if upper:
-        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+        rows = _above(rows)
     roots = range(len(rows))
     (lazy, built), (oracle, read) = _built_on_first_use(rows), _built_on_first_use(rows)
-    assert _search_roots(lazy, k, roots) == _search_roots(rows, k, roots) \
+    assert _scan(lazy, k, roots) == _scan(rows, k, roots) \
         == loop_search_roots(oracle, k, roots)
     assert built == read
 
@@ -125,10 +176,10 @@ def test_or_test_misses_every_root_of_a_triangle_free_graph(monkeypatch, upper):
     n = 200
     rows = [sum(1 << w for w in range(n) if (v + w) % 2) for v in range(n)]
     if upper:
-        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+        rows = _above(rows)
     calls = _counting_compress(monkeypatch)
     roots = range(n)
-    assert _search_roots(rows, 3, roots) == loop_search_roots(rows, 3, roots) \
+    assert _scan(rows, 3, roots) == loop_search_roots(rows, 3, roots) \
         == (None, n - 3)  # root r has (n - r) // 2 candidates
     assert len(calls) == sum((n - r) // 2 >= _DENSE for r in roots) > 150
 
@@ -145,9 +196,9 @@ def test_only_triangle_through_the_top_candidate(monkeypatch, low, upper):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     if upper:
-        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
+        rows = _above(rows)
     calls = _counting_compress(monkeypatch)
-    assert _search_roots(rows, 3, range(n)) == loop_search_roots(rows, 3, range(n)) \
+    assert _scan(rows, 3, range(n)) == loop_search_roots(rows, 3, range(n)) \
         == ((0, low, top), 2)
     assert len(calls) == 1
 
@@ -176,13 +227,13 @@ def _triangles_at(hits, n=100):
 def test_roots_are_searched_in_order(hits, want, upper):
     rows = _triangles_at(hits)
     if upper:
-        rows = [(row >> (v + 1)) << (v + 1) for v, row in enumerate(rows)]
-    assert _search_roots(rows, 3, range(100)) == loop_search_roots(rows, 3, range(100)) \
+        rows = _above(rows)
+    assert _scan(rows, 3, range(100)) == loop_search_roots(rows, 3, range(100)) \
         == want
 
 
 def _paley17():
-    return symmetric_rows(build_cayley_coloring(power_cosets(make_field(17), 2)), 1)
+    return _above(symmetric_rows(build_cayley_coloring(power_cosets(make_field(17), 2)), 1))
 
 
 @pytest.mark.parametrize("graph, k, n, split, clique", [
@@ -193,12 +244,13 @@ def _paley17():
 ], ids=["paley17-1", "paley17-9", "triangles-60", "triangles-61"])
 def test_a_scan_in_two_parts_adds_up(graph, k, n, split, clique):
     # the node count of a scan is the sum over the roots it searches, so it
-    # does not depend on how the roots are grouped
-    rows = graph()
-    whole = _search_roots(rows, k, range(n))
-    head = _search_roots(rows, k, range(split))
+    # does not depend on how the roots are grouped (the tail's roots do not
+    # exclude the head's: the rows hold only the bits above their vertex)
+    rows = _above(graph())
+    whole = _scan(rows, k, range(n))
+    head = _scan(rows, k, range(split))
     if head[0] is None:
-        tail = _search_roots(rows, k, range(split, n))
+        tail = _scan(rows, k, range(split, n))
         assert whole == (tail[0], head[1] + tail[1])
     else:
         assert whole == head

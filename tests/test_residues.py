@@ -3,7 +3,7 @@
 import pytest
 
 from ramseykit import admissible_orders, build_cayley_coloring, find_mono_clique, make_field
-from ramseykit.parallel import _search_roots, orbit_search
+from ramseykit.parallel import orbit_search
 from ramseykit.residues import (
     NormalizedWitness,
     _diff_rows,
@@ -18,6 +18,7 @@ from ramseykit.residues import (
 from helpers import (
     FieldDiffRows,
     brute_has_mono_clique,
+    loop_search_roots,
     plain_witness,
     subset_witness,
     translate_cosets,
@@ -284,17 +285,18 @@ def test_anharmonic_orbits_partition_the_sieve():
 
 
 def test_anharmonic_orbits_prune_the_bound_proofs():
-    # one root per orbit, earlier orbits excluded: the proofs that no K_5
+    # one root per orbit, earlier orbits excluded, each entered only when its
+    # candidates hold the vertices still needed: the proofs that no K_5
     # (Z_241) and no K_8 (Z_2029) witness exists visit a sixth of the nodes
     # of the search over every root
-    for p, t, orbits, pruned, plain in [(241, 5, 4, 4, 16), (2029, 8, 36, 1143, 6730)]:
+    for p, t, orbits, pruned, plain in [(241, 5, 4, 3, 16), (2029, 8, 36, 1141, 6730)]:
         part = power_cosets(make_field(p), 3)
         sv = tuple(sieve(part))
         rows = FieldDiffRows(part, sv)
         found = anharmonic_orbits(part, sv)
         assert len(found) == orbits
-        assert orbit_search(rows, t - 2, found) == (False, pruned)
-        assert _search_roots(rows, t - 2, range(len(sv))) == (None, plain)
+        assert orbit_search(rows, t - 2, found) == (None, pruned)
+        assert loop_search_roots(rows, t - 2, range(len(sv))) == (None, plain)
         assert find_normalized_clique(part, t) is None
 
 
