@@ -36,15 +36,16 @@ of a large explicit coloring.  The writer puts a row whose colors are all
 below 10 (every row of a composed witness) as digits at the even
 positions of a line of spaces.
 
-``load_coloring`` reads the file in chunks of 16 KiB, checks each chunk
-for ASCII and walks its lines by offset, decoding one line at a time; the
-lines split where ``str.splitlines`` would split the text (``\n``, ``\r``,
-``\r\n``, also when its two bytes fall in two chunks, ``\x0b``, ``\x0c``,
-``\x1c`` to ``\x1e``).  A non-ASCII byte anywhere is the error reported,
-before any other fault: after another fault the rest of the file is read
-for it.  The rows are appended to one growing triangle, which the coloring
-adopts without a copy, so the load holds one chunk, one line and the
-triangle, never the file, a decoded copy or a list of lines.
+``load_coloring`` reads the file through Python's text layer with the
+ASCII codec: its universal newlines split at ``\n``, ``\r\n`` and ``\r``,
+and ``str.splitlines`` of each line splits at the other ASCII breaks
+(``\x0b``, ``\x0c``, ``\x1c`` to ``\x1e``), so the lines are those of
+``str.splitlines`` of the whole text.  A non-ASCII byte anywhere is the
+error reported, before any other fault: after another fault the rest of
+the file is read for it.  The rows are appended to one growing triangle,
+which the coloring adopts without a copy, so the load holds the text
+layer's buffer, one line and the triangle, never the file or a list of
+lines.
 ``loads_coloring`` feeds ``str.splitlines`` to the same parser.  The parser takes a row of k
 colors as bytes when it is 2k - 1 ASCII characters with a space at every
 odd position and a digit 1..min(C, 9) at every even one.  Every other row
@@ -58,6 +59,7 @@ before it raises a row's error.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 
 from .field import FieldSpec
 from .parallel import Rows
@@ -66,9 +68,6 @@ from .records import FormatError, canonical_int
 HEADER = "ramsey-coloring v1"
 MAX_VERTICES = 1 << 15
 MAX_COLORS = 255
-# bytes that load_coloring reads at a time: as fast as 64 KiB on the 21.5 MB
-# file of the 4634-vertex witness, and small beside the triangle of a 481-vertex one
-_CHUNK = 1 << 14
 _BLOCK = 1 << 12  # triangle bytes whose colors are checked at a time
 
 
@@ -142,8 +141,10 @@ class CirculantColoring(EdgeColoring):
         sets = tuple(tuple(sorted(set(map(int, s)))) for s in connection_sets)
         if not 1 <= len(sets) <= MAX_COLORS:
             raise ValueError(f"need between 1 and {MAX_COLORS} colors")
-        diff_color = bytearray(n)
-        covered = 0
+        listed = sum(map(len, sets))
+        # n bytes only when the sets list enough elements to cover the n - 1
+        # differences: a file's field order may be up to 2^31 - 1
+        diff_color = bytearray(n) if listed >= n - 1 else defaultdict(int)
         for ci, s in enumerate(sets, 1):
             members = set(s)
             for d in s:
@@ -156,8 +157,7 @@ class CirculantColoring(EdgeColoring):
                 if diff_color[d]:
                     raise ValueError(f"difference {d} covered by more than one color")
                 diff_color[d] = ci
-                covered += 1
-        if covered != n - 1:
+        if listed != n - 1:
             raise ValueError("connection sets do not cover all nonzero differences")
         self.n = n
         self.num_colors = len(sets)
@@ -262,10 +262,6 @@ _FIELD_RE = re.compile(r"^field=(\d+)(?:\^(\d+) poly=(\d+(?:,\d+)*))?$", re.ASCI
 _TOKENS = [str(c) for c in range(256)]
 _TOKEN_VALUE = {t: c for c, t in enumerate(_TOKENS)}  # canonical decimal only
 _DIGIT_CHAR = b"0123456789" + bytes(246)  # color -> its digit, or 0 from 10 on
-# the ASCII line breaks of str.splitlines besides "\n" ("\r\n" is one break)
-_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
-_TO_NEWLINE = bytes.maketrans(_OTHER_BREAKS, b"\n" * len(_OTHER_BREAKS))
-_NOT_ASCII = "coloring files are ASCII text"
 
 
 def _canonical_lines(coloring: EdgeColoring):
@@ -311,34 +307,6 @@ def loads_coloring(text: str) -> EdgeColoring:
     return _parse(iter(text.splitlines()))
 
 
-def _chunk_lines(read):
-    """The lines of an ASCII file, decoded one at a time, split wherever
-    ``str.splitlines`` splits the decoded text.  ``read(size)`` gives the
-    file's next bytes; each chunk is checked for ASCII before a line of it
-    is yielded, and only the line that runs over into the next chunk is
-    carried, so no more than a chunk and a line are held."""
-    pending, after_cr = b"", False
-    while chunk := read(_CHUNK):
-        if not chunk.isascii():
-            raise FormatError(_NOT_ASCII)
-        if after_cr and chunk.startswith(b"\n"):  # a "\r\n" split between chunks
-            chunk = chunk[1:]
-        after_cr = chunk.endswith(b"\r")
-        if any(c in chunk for c in _OTHER_BREAKS):  # rare: every break made "\n"
-            chunk = chunk.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
-        start = 0
-        while (stop := chunk.find(b"\n", start)) >= 0:
-            line = chunk[start:stop]
-            if pending:
-                line, pending = pending + line, b""
-            yield line.decode("ascii")
-            start = stop + 1
-        pending += chunk[start:]
-        del chunk  # before the next read, so that two chunks are never held
-    if pending:  # the last line, with no break after it
-        yield pending.decode("ascii")
-
-
 def _parse(lines) -> EdgeColoring:
     """The coloring that an iterator of text lines holds."""
     if next(lines, None) != HEADER:
@@ -363,7 +331,7 @@ def _parse(lines) -> EdgeColoring:
         if explicit:
             return _parse_explicit(n, num_colors, lines)
         return _parse_circulant(n, num_colors, list(lines))
-    except FormatError:
+    except (FormatError, UnicodeDecodeError):  # load_coloring reports a decode fault
         raise
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
@@ -451,19 +419,20 @@ def save_coloring(coloring: EdgeColoring, destination) -> None:
 
 
 def load_coloring(source) -> EdgeColoring:
-    """The coloring in a file, read in chunks of ``_CHUNK`` bytes (see the
-    module docstring).  A non-ASCII byte anywhere in the file is the error
+    """The coloring in an ASCII file, read a line at a time (see the module
+    docstring).  A non-ASCII byte anywhere in the file is the error
     reported, whatever fault comes before it, so after any other fault the
-    rest of the file is read and checked too."""
+    rest of the file is read and decoded too."""
     try:
-        with open(source, "rb") as stream:
+        with open(source, encoding="ascii") as stream:
             try:
-                return _parse(_chunk_lines(stream.read))
+                return _parse(part for line in stream for part in line.splitlines())
             except FormatError:
-                while chunk := stream.read(_CHUNK):
-                    if not chunk.isascii():
-                        raise FormatError(_NOT_ASCII) from None
+                for _ in stream:
+                    pass
                 raise
+    except UnicodeDecodeError as exc:
+        raise FormatError("coloring files are ASCII text") from exc
     except OSError as exc:
         raise FormatError(f"cannot read {source}: {exc}") from exc
 

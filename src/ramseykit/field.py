@@ -129,6 +129,17 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
 
 
+def _check_order(p: int, k: int) -> None:
+    """ValueError unless p is prime, k >= 1 and p^k is at most MAX_ORDER.
+    p^k is not computed for k > 31, which puts it above 2^31 for every p."""
+    if k < 1:
+        raise ValueError("degree must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    if k > 31 or p**k > MAX_ORDER:
+        raise ValueError(f"field order {p}^{k} exceeds supported range 2^31")
+
+
 class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, None))):
     """A prime field Z_p (degree 1) or Galois field GF(p^k) (degree k > 1).
 
@@ -140,12 +151,7 @@ class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, No
     def __new__(cls, characteristic: int, degree: int = 1,
                 modulus_poly: tuple[int, ...] | None = None):
         p, k, mp = characteristic, degree, modulus_poly
-        if k < 1:
-            raise ValueError("degree must be >= 1")
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if p**k > MAX_ORDER:
-            raise ValueError(f"field order {p}^{k} exceeds supported range 2^31")
+        _check_order(p, k)
         if k == 1:
             if mp is not None:
                 raise ValueError("prime fields take no modulus polynomial")
@@ -349,10 +355,7 @@ def _galois_tables(spec: FieldSpec) -> _Tables:
 
 def make_field(p: int, k: int = 1) -> FieldSpec:
     """The field of p^k elements, with the canonical modulus when k > 1."""
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
+    _check_order(p, k)  # before the modulus search, whose work grows with p^k
     if k == 1:
         return FieldSpec(p)
     return FieldSpec(p, k, canonical_modulus(p, k))

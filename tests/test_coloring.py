@@ -310,8 +310,8 @@ def _traced_peak(fn):
 
 def test_explicit_file_io_holds_no_copy_of_the_text(tmp_path):
     # the canonical lines are hashed and written one at a time; the loader
-    # holds one chunk of the file and the triangle it adopts (the text of a
-    # composed witness is about twice its triangle), and the copy-cycle proof
+    # holds the text layer's buffer, one line and the triangle it adopts (the
+    # text of a composed witness is about twice its triangle), and the copy-cycle proof
     # one transposed block of b^2 bytes (the matrix is n^2)
     from ramseykit import verify
     from test_verify import chain
@@ -356,25 +356,58 @@ _ROWS_TRI = bytes(loads_coloring(_ROWS)._tri)
 @pytest.mark.parametrize("case", ["crlf", "no final newline", "long rows",
                                   "non-ASCII after a header fault",
                                   "non-ASCII after a malformed row"])
-def test_load_in_chunks_of_a_few_bytes(tmp_path, monkeypatch, case):
-    # every chunk size up to a line and beyond splits the file somewhere
-    # new: a "\r\n" between two chunks, a row over several chunks, the
-    # last line without its break, a non-ASCII byte chunks after the fault
-    from ramseykit import coloring
-
+def test_load_breaks_and_late_non_ascii(tmp_path, case):
+    # a non-ASCII byte after another fault is still the error reported
     text = {"crlf": _ROWS.replace("\n", "\r\n"),
             "no final newline": _ROWS[:-1],
             "long rows": _ROWS,
             "non-ASCII after a header fault": _ROWS.replace("v1", "v2") + "\u00e9",
             "non-ASCII after a malformed row":
                 _ROWS.replace("explicit\n", "explicit\n0 ")[:-1] + "\u00e9\n"}[case]
-    path = tmp_path / "chunked.col"
+    path = tmp_path / "rows.col"
     path.write_bytes(text.encode("utf-8"))
-    for chunk in range(1, 40):
-        monkeypatch.setattr(coloring, "_CHUNK", chunk)
-        result = _load_as_text(path, text)
-        if case.startswith("non-ASCII"):
-            assert result == "coloring files are ASCII text"
-        else:
-            assert result == (12, 11, _ROWS_TRI)
+    result = _load_as_text(path, text)
+    if case.startswith("non-ASCII"):
+        assert result == "coloring files are ASCII text"
+    else:
+        assert result == (12, 11, _ROWS_TRI)
 
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r"])
+def test_breaks_at_the_text_layers_decode_boundary(tmp_path, brk):
+    # the text layer decodes the first 8 KiB of a file on its own: rows
+    # padded with spaces put a break on each side of that boundary, and a
+    # "\r\n" across it
+    head = "ramsey-coloring v1\nn=4 colors=2 repr=explicit\n"
+    path = tmp_path / "padded.col"
+    for at in range(8188, 8197):  # the offset of the first row's break
+        rows = ["1 2 1".ljust(at - len(head)), "2 1".rjust(9000), "2" + " " * 9000]
+        text = head + brk.join(rows) + brk
+        path.write_bytes(text.encode("ascii"))
+        assert _load_as_text(path, text) == (4, 2, b"\x01\x02\x01\x02\x01\x02")
+
+
+@pytest.mark.parametrize("colors, expected", [
+    ("color 1: 1 1000002", "connection sets do not cover all nonzero differences"),
+    ("color 1: 0 1 1000002", "connection value 0 is not a nonzero element"),
+    ("color 1: 1", "connection set for color 1 is not closed under negation "
+                   "(1 present, 1000002 missing)"),
+    ("color 1: 1 1000002\ncolor 2: 1 1000002", "difference 1 covered by more than one color")])
+def test_circulant_file_that_lists_few_elements_allocates_no_order_sized_table(
+        tmp_path, capsys, colors, expected):
+    # field=1000003 with two of its 1000002 differences: the faults of an
+    # order-sized table, found with a table of the listed elements
+    from ramseykit.cli import main
+
+    path = tmp_path / "sparse.col"
+    path.write_text(f"ramsey-coloring v1\nn=1000003 colors={colors.count(':')} "
+                    f"repr=circulant\nfield=1000003\n{colors}\n")
+
+    def load():
+        with pytest.raises(FormatError) as exc:
+            load_coloring(path)
+        assert str(exc.value) == expected
+
+    assert _traced_peak(load) < 64 * 1024
+    assert main(["verify", "-i", str(path), "--targets", "3"]) == 4
+    assert capsys.readouterr().err == f"error: {expected}\n"
