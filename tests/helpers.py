@@ -332,6 +332,22 @@ def whole_text_load(path):
     return token_loads(raw.decode("ascii"))
 
 
+def decode_in_chunks(patch, size):
+    """Make ``load_coloring``'s text layer decode ``size`` bytes at a time
+    (8 KiB by default), so that its chunks split rows, breaks and "\\r\\n"
+    pairs wherever a test puts them; ``patch`` is a pytest MonkeyPatch."""
+    import builtins
+
+    from ramseykit import coloring
+
+    def small_chunk_open(*args, **kwargs):
+        stream = builtins.open(*args, **kwargs)
+        stream._CHUNK_SIZE = size
+        return stream
+
+    patch.setattr(coloring, "open", small_chunk_open, raising=False)
+
+
 def matrix_rotates(coloring, b, pi):
     """Whether sigma (rotate 0..3b-1 by b) maps every edge of color c to one
     of color pi(c), as the verifier proved it on the n^2 matrix before it

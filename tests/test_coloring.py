@@ -356,21 +356,28 @@ _ROWS_TRI = bytes(loads_coloring(_ROWS)._tri)
 @pytest.mark.parametrize("case", ["crlf", "no final newline", "long rows",
                                   "non-ASCII after a header fault",
                                   "non-ASCII after a malformed row"])
-def test_load_breaks_and_late_non_ascii(tmp_path, case):
-    # a non-ASCII byte after another fault is still the error reported
+def test_load_in_chunks_of_a_few_bytes(tmp_path, monkeypatch, case):
+    # every decode chunk size of the text layer up to a line and beyond
+    # splits the file somewhere new: a "\r\n" between two chunks, a row
+    # over several chunks, the last line without its break, a non-ASCII byte
+    # chunks after the fault, which is still the error reported
+    from helpers import decode_in_chunks
+
     text = {"crlf": _ROWS.replace("\n", "\r\n"),
             "no final newline": _ROWS[:-1],
             "long rows": _ROWS,
             "non-ASCII after a header fault": _ROWS.replace("v1", "v2") + "\u00e9",
             "non-ASCII after a malformed row":
                 _ROWS.replace("explicit\n", "explicit\n0 ")[:-1] + "\u00e9\n"}[case]
-    path = tmp_path / "rows.col"
+    path = tmp_path / "chunked.col"
     path.write_bytes(text.encode("utf-8"))
-    result = _load_as_text(path, text)
-    if case.startswith("non-ASCII"):
-        assert result == "coloring files are ASCII text"
-    else:
-        assert result == (12, 11, _ROWS_TRI)
+    for chunk in range(1, 40):
+        decode_in_chunks(monkeypatch, chunk)
+        result = _load_as_text(path, text)
+        if case.startswith("non-ASCII"):
+            assert result == "coloring files are ASCII text"
+        else:
+            assert result == (12, 11, _ROWS_TRI)
 
 
 @pytest.mark.parametrize("brk", ["\r\n", "\r"])

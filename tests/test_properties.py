@@ -23,8 +23,8 @@ from ramseykit import (
     verify_witness,
 )
 
-from helpers import (composed_color, full_row_find, matrix_rotates, symmetric_rows,
-                     token_dumps, token_loads, whole_text_load)
+from helpers import (composed_color, decode_in_chunks, full_row_find, matrix_rotates,
+                     symmetric_rows, token_dumps, token_loads, whole_text_load)
 
 
 @st.composite
@@ -244,6 +244,16 @@ def test_load_coloring_matches_the_whole_text_load(tmp_path_factory, col, data):
     _load_changed_lines(tmp_path_factory.getbasetemp() / "changed.col", col, data)
 
 
+@settings(deadline=None)
+@given(explicit_colorings(max_n=20), st.data(), st.integers(1, 12))
+def test_load_in_small_chunks_matches_the_whole_text_load(tmp_path_factory, col, data, chunk):
+    # text-layer decode chunks of a few bytes split lines, breaks and
+    # "\r\n" pairs anywhere
+    with pytest.MonkeyPatch.context() as patch:
+        decode_in_chunks(patch, chunk)
+        _load_changed_lines(tmp_path_factory.getbasetemp() / "chunked.col", col, data)
+
+
 @pytest.mark.parametrize("kind", _LINE_CHANGES)
 def test_each_line_change_loads_as_the_whole_text(tmp_path, kind):
     col = ExplicitColoring.from_function(12, 11, lambda u, v: (3 * u + 5 * v) % 11 + 1)
@@ -252,6 +262,14 @@ def test_each_line_change_loads_as_the_whole_text(tmp_path, kind):
         for i in (0, 7, 40):
             path.write_bytes(_change_lines(dumps_coloring(col), kind, i, brk).encode("utf-8"))
             _load_as_the_whole_text(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("kind", _LINE_CHANGES)
+def test_each_line_change_loads_as_the_whole_text_in_small_chunks(tmp_path, monkeypatch,
+                                                                  kind, chunk):
+    decode_in_chunks(monkeypatch, chunk)
+    test_each_line_change_loads_as_the_whole_text(tmp_path, kind)
 
 
 @settings(deadline=None)
