@@ -11,21 +11,22 @@ The encoding also fixes a total order on elements (plain integer order),
 which everything that promises a "first found" or "least" result relies
 on.
 
-Prime fields use plain int arithmetic.  GF(p^k) arithmetic (k > 1) is
-table lookups, in tables built once per field on first use from one
-checked walk over the powers of the least multiplicative generator g
-(Zech logarithms; Lidl & Niederreiter, *Finite Fields*, section 9): the
-antilog list ``exp[i] = g^i``, the logs ``log[g^i] = i``, and for odd p
-the Zech logs ``zech[i] = log(1 + g^i)``.  ``mul``, ``inv`` and ``pow``
-add or scale logs mod N - 1; odd-p ``add``, ``sub`` and ``neg`` use
-a + b = a * (1 + b/a) and -1 = g^((N-1)/2); characteristic 2 adds by
-XOR.  Polynomial multiplication remains only in the test that finds g.
+Addition, subtraction and negation follow the definition of the
+additive group Z_p^k: digit by digit mod p on the encoding (XOR when
+p = 2), with Z_p as the one-digit case.  Z_p multiplies with plain int
+arithmetic.  GF(p^k) multiplication (k > 1) is table lookups, in tables
+built once per field on first use from one checked walk over the powers
+of the least multiplicative generator g: the antilog list
+``exp[i] = g^i`` and the logs ``log[g^i] = i``.  ``mul``, ``inv`` and
+``pow`` add or scale logs mod N - 1.  Polynomial multiplication remains
+only in the test that finds g.
 
-The tables cap Galois arithmetic at ``GALOIS_MAX_ORDER`` = 2^20 elements:
-at the cap they take about 50 MB and 1-2 s to build (GF(3^8): 0.3 MB,
-0.02 s).  Above it the first operation that needs the tables (all but
-addition in characteristic 2) raises ValueError, while ``make_field``
-and ``admissible_orders`` still work up to ``MAX_ORDER``.
+The tables cap Galois multiplication at ``GALOIS_MAX_ORDER`` = 2^20
+elements: at the cap they take about 46 MB and 1-2 s to build (GF(3^8):
+0.3 MB, 0.02 s).  Above it ``mul``, ``inv``, ``pow`` and
+``multiplicative_generator`` raise ValueError, while addition,
+subtraction, negation, ``make_field`` and ``admissible_orders`` still
+work up to ``MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from array import array
 from .records import record
 
 MAX_ORDER = 1 << 31
-# Largest GF(p^k), k > 1, with arithmetic: its tables take 42-49 bytes an
-# element (the antilog list and its ints, 4-byte logs and Zech logs).
+# Largest GF(p^k), k > 1, with multiplication: its tables take 41-45 bytes
+# an element (the antilog list and its ints, and 4-byte logs).
 GALOIS_MAX_ORDER = 1 << 20
 
 # Strong-pseudoprime bases proven deterministic for n < 3.3 * 10^24,
@@ -130,14 +131,16 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
 
 
 def _check_order(p: int, k: int) -> None:
-    """ValueError unless p is prime, k >= 1 and p^k is at most MAX_ORDER.
-    p^k is not computed for k > 31, which puts it above 2^31 for every p."""
+    """ValueError unless k >= 1, p^k is at most MAX_ORDER and p is prime.
+    The order is checked first, so a huge p (a file may give one of 4300
+    digits) is refused without a primality test; p^k is not computed for
+    k > 31 or p > MAX_ORDER, either of which puts it above 2^31."""
     if k < 1:
         raise ValueError("degree must be >= 1")
+    if k > 31 or p > MAX_ORDER or p**k > MAX_ORDER:
+        raise ValueError(f"field order {p}^{k} exceeds supported range 2^31")
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
-    if k > 31 or p**k > MAX_ORDER:
-        raise ValueError(f"field order {p}^{k} exceeds supported range 2^31")
 
 
 class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, None))):
@@ -180,56 +183,53 @@ class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, No
     # -- arithmetic ------------------------------------------------------
 
     @functools.cached_property
-    def _tables(self) -> "_Tables":
-        # held per instance for fast lookups; equal fields share one build
+    def _tables(self) -> tuple[list[int], array]:
+        # (exp, log), held per instance for fast lookups; equal fields
+        # share one build
         return _galois_tables(self)
 
     def add(self, a: int, b: int) -> int:
-        p = self.characteristic
-        if self.degree == 1:
-            return (a + b) % p
-        if p == 2:
+        if self.characteristic == 2:
             return a ^ b
-        if not b:
-            return a
-        t = self._tables
-        return t.zech_add(a, t.log[b])
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
-        p = self.characteristic
-        if self.degree == 1:
-            return (-a) % p
-        if p == 2 or not a:
+        if self.characteristic == 2:
             return a
-        t = self._tables
-        return t.exp[(t.log[a] + t.half) % t.q]
+        return self._digitwise(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
-        p = self.characteristic
-        if self.degree == 1:
-            return (a - b) % p
-        if p == 2:
+        if self.characteristic == 2:
             return a ^ b
-        if not b:
-            return a
-        t = self._tables
-        return t.zech_add(a, t.log[b] + t.half)  # -b = g^half * b
+        return self._digitwise(a, b, -1)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """The element whose k base-p digits are those of a plus sign times
+        those of b, each mod p."""
+        p = self.characteristic
+        r, w = 0, 1
+        for _ in range(self.degree):
+            r += (a + sign * b) % p * w  # mod p, a and b are their low digits
+            a //= p
+            b //= p
+            w *= p
+        return r
 
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return a * b % self.characteristic
         if not (a and b):
             return 0
-        t = self._tables
-        return t.exp[(t.log[a] + t.log[b]) % t.q]
+        exp, log = self._tables
+        return exp[(log[a] + log[b]) % len(exp)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative inverse")
         if self.degree == 1:
             return pow(a, self.characteristic - 2, self.characteristic)
-        t = self._tables
-        return t.exp[-t.log[a] % t.q]
+        exp, log = self._tables
+        return exp[-log[a] % len(exp)]
 
     def pow(self, a: int, e: int) -> int:
         """a^e; negative e inverts first."""
@@ -239,29 +239,8 @@ class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, No
             if e < 0:
                 raise ValueError("0 has no multiplicative inverse")
             return 0 if e else 1
-        t = self._tables
-        return t.exp[t.log[a] * e % t.q]
-
-
-class _Tables:
-    """Log/antilog/Zech tables of one GF(p^k) for its least generator g;
-    q = N - 1 is the group order and half = q // 2 the log of -1."""
-
-    __slots__ = ("g", "q", "half", "exp", "log", "zech")
-
-    def __init__(self, g, exp, log, zech):
-        self.g, self.exp, self.log, self.zech = g, exp, log, zech
-        self.q = len(exp)
-        self.half = self.q // 2
-
-    def zech_add(self, a: int, lb: int) -> int:
-        """a + g^lb for odd p: a * (1 + g^(lb - log a))."""
-        q = self.q
-        if not a:
-            return self.exp[lb % q]
-        la = self.log[a]
-        z = self.zech[(lb - la) % q]
-        return 0 if z == q else self.exp[(la + z) % q]
+        exp, log = self._tables
+        return exp[log[a] * e % len(exp)]
 
 
 def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
@@ -329,7 +308,9 @@ def _walk(step, n: int, g: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _galois_tables(spec: FieldSpec) -> _Tables:
+def _galois_tables(spec: FieldSpec) -> tuple[list[int], array]:
+    """The antilog list exp and the logs log of GF(p^k) for its least
+    generator g = exp[1]."""
     p, k, n = spec.characteristic, spec.degree, spec.order
     if n > GALOIS_MAX_ORDER:
         raise ValueError(f"{spec} arithmetic needs tables of {n} entries; "
@@ -346,11 +327,7 @@ def _galois_tables(spec: FieldSpec) -> _Tables:
     log = array("I", [q]) * n  # log[0] = q stands for "no log"
     for i, x in enumerate(exp):
         log[x] = i
-    zech = None
-    if p > 2:
-        # 1 + x adds 1 to the constant digit of x, which wraps at p - 1
-        zech = array("I", [log[x + 1 if (x + 1) % p else x + 1 - p] for x in exp])
-    return _Tables(g, exp, log, zech)
+    return exp, log
 
 
 def make_field(p: int, k: int = 1) -> FieldSpec:
@@ -421,7 +398,7 @@ def _prime_factors(n: int) -> list[int]:
 def multiplicative_generator(spec: FieldSpec) -> int:
     """Least element generating the (cyclic) multiplicative group."""
     if spec.degree > 1:
-        return spec._tables.g
+        return spec._tables[0][1]
     n1 = spec.order - 1
     if n1 == 1:
         return 1
@@ -453,6 +430,7 @@ def generator_powers(spec: FieldSpec, g: int) -> list[int]:
         if x * g % p == 1 and powers.count(1) == 1:
             return powers
         return _walk(lambda x: x * g % p, p, g)  # raises: g is no generator
-    if g == spec._tables.g:
-        return spec._tables.exp
+    exp = spec._tables[0]
+    if g == exp[1]:
+        return exp
     return _walk(functools.partial(spec.mul, g), spec.order, g)

@@ -150,10 +150,6 @@ class NormalizedWitness(record("NormalizedWitness", "t elements")):
             raise ValueError("witness elements must be distinct and nonzero")
         return super().__new__(cls, t, elements)
 
-    def vertices(self) -> tuple[int, ...]:
-        """The monochromatic clique this witness describes."""
-        return (0,) + tuple(sorted(self.elements))
-
 
 def _diff_rows(partition: CosetPartition, sv: tuple[int, ...]) -> Rows:
     """Row i: bitmask of the indices j > i with sv[j] - sv[i] a residue,

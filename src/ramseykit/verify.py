@@ -286,13 +286,6 @@ class VerificationReport(record("VerificationReport", "targets cliques searches"
     def passed(self) -> bool:
         return all(c is None for c in self.cliques)
 
-    def summary(self) -> str:
-        parts = []
-        for i, (k, c) in enumerate(zip(self.targets, self.cliques), 1):
-            parts.append(f"color {i}: no K_{k}" if c is None
-                         else f"color {i}: K_{k} at {','.join(map(str, c))}")
-        return "; ".join(parts)
-
 
 def verify_witness(coloring: EdgeColoring, targets, *,
                    symmetry: bool = True) -> VerificationReport:

@@ -146,7 +146,8 @@ def subset_witness(partition, t):
 
 
 # Polynomial and digit arithmetic in GF(p^k), as the field module did it
-# before its log/Zech tables: the oracle for the tables.
+# before its log tables: the oracle for the tables and for the field's
+# own digit arithmetic.
 
 def _digits(spec, a):
     out = []

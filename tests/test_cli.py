@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ramseykit import (CompositionInput, ExplicitColoring, build_cayley_coloring,
-                       chung_compose, load_coloring, make_field, power_cosets,
+                       chung_compose, field, load_coloring, make_field, power_cosets,
                        read_certificate, save_coloring)
 from ramseykit.cli import main
 
@@ -59,7 +59,7 @@ def test_search_galois(capsys):
 
 
 def test_search_galois_odd_characteristic(capsys):
-    # GF(3^8) through the Zech-logarithm tables
+    # GF(3^8): the residue search works on exponents, and subtracts by digits
     code, out, _ = run(capsys, "search", "--galois", "3,8", "--mod", "2", "-t", "7")
     assert (code, out) == (0, "6561: witness 1,2,9,10,11,18\n")
 
@@ -555,3 +555,19 @@ def test_size_line_of_too_many_digits_exits_4(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3")
     assert (code, out) == (4, "")
     assert err.startswith("error: ")
+
+
+def test_odd_characteristic_circulant_above_the_cap_loads_and_stops_at_verify(
+        tmp_path, capsys, monkeypatch):
+    # with the cap at 27, GF(3^4) lies above it: its file loads (negation
+    # acts on digits) and verify stops at its first multiplication, exit 3,
+    # as a GF(2^k) file above the cap does
+    path = tmp_path / "gf81.col"
+    assert run(capsys, "build", "-p", "3", "-k", "4", "-m", "2", "-o", str(path))[0] == 0
+    monkeypatch.setattr(field, "GALOIS_MAX_ORDER", 27)
+    field._galois_tables.cache_clear()
+    field.multiplicative_generator.cache_clear()
+    assert load_coloring(path).n == 81
+    code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "5,5")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: GF(3^4) arithmetic needs tables") and "up to order 2^20" in err

@@ -1,8 +1,10 @@
 """Coloring representations, builders, and file round trips."""
 
+from itertools import count
+
 import pytest
 
-from ramseykit import make_field, power_cosets
+from ramseykit import field, make_field, power_cosets
 from ramseykit.coloring import (
     CirculantColoring,
     ExplicitColoring,
@@ -418,3 +420,43 @@ def test_circulant_file_that_lists_few_elements_allocates_no_order_sized_table(
     assert _traced_peak(load) < 64 * 1024
     assert main(["verify", "-i", str(path), "--targets", "3"]) == 4
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_odd_characteristic_negation_builds_no_tables(monkeypatch):
+    # negation acts on base-p digits: a 4-line GF(3^12) file reaches its
+    # coverage fault without the 531,441-entry log tables, and GF(9) still
+    # checks closure under negation
+    poly = ",".join(map(str, make_field(3, 12).modulus_poly))
+
+    def no_tables(spec):
+        raise AssertionError(f"the tables of {spec} were built")
+
+    monkeypatch.setattr(field, "_galois_tables", no_tables)
+    with pytest.raises(FormatError, match="^connection sets do not cover all nonzero differences$"):
+        loads_coloring(f"ramsey-coloring v1\nn=531441 colors=1 repr=circulant\n"
+                       f"field=3^12 poly={poly}\ncolor 1: 1 2\n")
+    gf9 = make_field(3, 2)
+    assert CirculantColoring(gf9, [(1, 2, 3, 6), (4, 5, 7, 8)]).edge_color(0, 6) == 1
+    with pytest.raises(ValueError, match=r"color 1 is not closed under negation \(3 present, 6 missing\)"):
+        CirculantColoring(gf9, [(1, 2, 3), (4, 5, 6, 7, 8)])
+
+
+def test_huge_characteristic_is_refused_before_a_primality_test(tmp_path, capsys, monkeypatch):
+    # a 4300-digit characteristic that no Miller-Rabin base divides would
+    # take 12 rounds of seconds; its order is refused first
+    from ramseykit.cli import main
+
+    p = next(x for x in count(10**4299 + 1) if all(x % q for q in field._MR_BASES))
+
+    def no_test(n):
+        raise AssertionError("is_prime was called")
+
+    monkeypatch.setattr(field, "is_prime", no_test)
+    expected = f"field order {p}^1 exceeds supported range 2^31"
+    path = tmp_path / "huge.col"
+    path.write_text(f"ramsey-coloring v1\nn={p} colors=1 repr=circulant\nfield={p}\ncolor 1: 1\n")
+    with pytest.raises(FormatError) as exc:
+        loads_coloring(path.read_text())
+    assert str(exc.value) == expected
+    assert main(["verify", "-i", str(path), "--targets", "3"]) == 4
+    assert capsys.readouterr() == ("", f"error: {expected}\n")

@@ -236,12 +236,17 @@ def test_galois_order_cap(capsys):
     gf2 = make_field(2, 21)  # the field and its encoding exist above the cap
     gf3 = make_field(3, 13)
     assert (gf2.order, gf3.order) == (1 << 21, 3**13)
-    assert gf2.add(2, 3) == 1  # characteristic-2 addition needs no tables
-    for op in (lambda: gf2.mul(2, 3), lambda: gf2.inv(2), lambda: gf2.pow(2, 5),
-               lambda: multiplicative_generator(gf2), lambda: gf3.add(1, 1),
-               lambda: gf3.sub(1, 2), lambda: gf3.neg(1), lambda: gf3.mul(2, 3)):
-        with pytest.raises(ValueError, match=r"up to order 2\^20"):
-            op()
+    assert gf2.add(2, 3) == 1  # addition acts on digits and needs no tables
+    pairs = [(0, 0), (1, 2), (2, 2), (5, 3**12 + 7), (3**13 - 1, 3**13 - 1), (123456, 1 << 20)]
+    for a, b in pairs:
+        assert gf3.add(a, b) == poly_add(gf3, a, b)
+        assert gf3.sub(a, b) == poly_sub(gf3, a, b)
+        assert gf3.neg(a) == poly_neg(gf3, a)
+    for spec in (gf2, gf3):
+        for op in (lambda: spec.mul(2, 3), lambda: spec.inv(2), lambda: spec.pow(2, 5),
+                   lambda: multiplicative_generator(spec)):
+            with pytest.raises(ValueError, match=r"up to order 2\^20"):
+                op()
     assert [s.order for s in admissible_orders(3, 1 << 22, 1 << 22)] == [1 << 22]
     assert main(["primes", "--mod", "3", "--min", str(1 << 22), "--max", str(1 << 22)]) == 0
     assert capsys.readouterr().out == f"{1 << 22}\n"

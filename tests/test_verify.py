@@ -340,7 +340,6 @@ def test_report_methods_of_circulant_and_plain_explicit_colorings():
     report = verify_witness(paley13, (3, 14))
     assert _methods(report) == ("full", "k > n")
     assert report.cliques == ((0, 1, 4), None) and report.searches[1].nodes == 0
-    assert report.summary() == "color 1: K_3 at 0,1,4; color 2: no K_14"
 
 
 def test_recolored_edge_rejects_the_rotation():
@@ -407,7 +406,6 @@ def test_verify_witness_pentagon():
     report = verify_witness(pentagon(), (3, 3))
     assert report.passed
     assert report.cliques == (None, None)
-    assert "no K_3" in report.summary()
 
 
 def test_verify_witness_gf16():
