@@ -14,19 +14,21 @@ on.
 Addition, subtraction and negation follow the definition of the
 additive group Z_p^k: digit by digit mod p on the encoding (XOR when
 p = 2), with Z_p as the one-digit case.  Z_p multiplies with plain int
-arithmetic.  GF(p^k) multiplication (k > 1) is table lookups, in tables
-built once per field on first use from one checked walk over the powers
-of the least multiplicative generator g: the antilog list
-``exp[i] = g^i`` and the logs ``log[g^i] = i``.  ``mul``, ``inv`` and
-``pow`` add or scale logs mod N - 1.  Polynomial multiplication remains
-only in the test that finds g.
+arithmetic.  The least multiplicative generator g of either kind is
+found by one test (``multiplicative_generator``: g^(q/r) != 1 for every
+prime r | q = N - 1, by int or polynomial powers) and its powers by one
+checked walk (``_walk``).  GF(p^k) multiplication (k > 1) is table
+lookups, in tables built once per field on first use from that walk: the
+antilog list ``exp[i] = g^i`` and the logs ``log[g^i] = i``.  ``mul``,
+``inv`` and ``pow`` add or scale logs mod N - 1.  Polynomial
+multiplication remains only in the generator test.
 
 The tables cap Galois multiplication at ``GALOIS_MAX_ORDER`` = 2^20
 elements: at the cap they take about 46 MB and 1-2 s to build (GF(3^8):
 0.3 MB, 0.02 s).  Above it ``mul``, ``inv``, ``pow`` and
-``multiplicative_generator`` raise ValueError, while addition,
-subtraction, negation, ``make_field`` and ``admissible_orders`` still
-work up to ``MAX_ORDER``.
+``generator_powers`` raise ValueError, while addition, subtraction,
+negation, ``multiplicative_generator``, ``make_field`` and
+``admissible_orders`` still work up to ``MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -288,22 +290,20 @@ def _times_table(spec: FieldSpec, g: int) -> list[int]:
     return table
 
 
-def _walk(step, n: int, g: int) -> list[int]:
-    """1, g, g^2, ..., g^(n-2) by n - 1 applications of step (x -> x * g),
-    checked: the walk must come back to 1 after exactly n - 1 steps without
-    repeating an element, so g generates the multiplicative group;
-    otherwise AssertionError."""
-    seen = bytearray(n)
-    powers = []
-    x = 1
-    for i in range(n - 1):
-        if seen[x]:
-            raise AssertionError(f"{g} revisits {x} after {i} steps; generator is wrong")
-        seen[x] = 1
-        powers.append(x)
+def _walk(step, n: int) -> list[int]:
+    """1, g, ..., g^(n-2) by n - 2 applications of step (x -> x * g),
+    checked once after: one more step must give 1, and 1 occur once, else
+    AssertionError.  A repeat x_i = x_j, i < j, would recur with period
+    j - i and put a second 1 in the walk, so for any step the check passes
+    iff the n - 1 powers are distinct: g generates the group."""
+    powers, x = [1], 1
+    append = powers.append
+    for _ in range(n - 2):
         x = step(x)
-    if x != 1:
-        raise AssertionError(f"{g}^{n - 1} = {x} != 1; generator is wrong")
+        append(x)
+    if step(x) != 1 or powers.count(1) != 1:
+        raise AssertionError(f"the walk does not first return to 1 after {n - 1} steps; "
+                             f"generator is wrong")
     return powers
 
 
@@ -311,20 +311,12 @@ def _walk(step, n: int, g: int) -> list[int]:
 def _galois_tables(spec: FieldSpec) -> tuple[list[int], array]:
     """The antilog list exp and the logs log of GF(p^k) for its least
     generator g = exp[1]."""
-    p, k, n = spec.characteristic, spec.degree, spec.order
+    n = spec.order
     if n > GALOIS_MAX_ORDER:
-        raise ValueError(f"{spec} arithmetic needs tables of {n} entries; "
+        raise ValueError(f"{spec} multiplication needs tables of {n} entries; "
                          f"Galois fields are supported up to order 2^20")
-    q = n - 1
-    factors = _prime_factors(q)
-    one = [1] + [0] * (k - 1)
-    # the least generator, by the polynomial test g^(q/r) != 1 for every
-    # prime r | q; the constants 2..p-1 lie in Z_p*, of order < q
-    g = next(g for g in range(p, n)
-             if all(_poly_pow(_decode_digits(g, p, k), q // r, spec.modulus_poly, p) != one
-                    for r in factors))
-    exp = _walk(_times_table(spec, g).__getitem__, n, g)
-    log = array("I", [q]) * n  # log[0] = q stands for "no log"
+    exp = _walk(_times_table(spec, multiplicative_generator(spec)).__getitem__, n)
+    log = array("I", [n - 1]) * n  # log[0] = N - 1 stands for "no log"
     for i, x in enumerate(exp):
         log[x] = i
     return exp, log
@@ -396,41 +388,28 @@ def _prime_factors(n: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def multiplicative_generator(spec: FieldSpec) -> int:
-    """Least element generating the (cyclic) multiplicative group."""
-    if spec.degree > 1:
-        return spec._tables[0][1]
-    n1 = spec.order - 1
-    if n1 == 1:
-        return 1
-    factors = _prime_factors(n1)
-    for g in range(2, spec.order):
-        if all(spec.pow(g, n1 // q) != 1 for q in factors):
-            return g
-    raise AssertionError("unreachable: finite field multiplicative groups are cyclic")
+    """Least element g generating the (cyclic) multiplicative group of the
+    field of order N: g^(q/r) != 1 for every prime r | q = N - 1 (Lidl and
+    Niederreiter, Finite Fields).  Z_p tests from 1 (which generates only
+    Z_2*) by ``pow``; GF(p^k) tests from p, as the constants 1..p-1 lie in
+    Z_p*, of order < q, by polynomial powers, and builds no tables."""
+    p, k, n = spec.characteristic, spec.degree, spec.order
+    q = n - 1
+    factors = _prime_factors(q)
+    if k == 1:
+        return next(g for g in range(1, p) if all(pow(g, q // r, p) != 1 for r in factors))
+    one = [1] + [0] * (k - 1)
+    return next(g for g in range(p, n)
+                if all(_poly_pow(_decode_digits(g, p, k), q // r, spec.modulus_poly, p) != one
+                       for r in factors))
 
 
-def generator_powers(spec: FieldSpec, g: int) -> list[int]:
-    """g^0, g^1, ..., g^(N-2) for the field of order N, by one walk of N - 1
-    multiplications.  The walk is checked, not trusted: it must come back to
-    1 after exactly N - 1 steps without repeating an element, so g generates
-    the multiplicative group; otherwise AssertionError.  Z_p walks in a
-    bare loop and checks it after; only a walk that fails is retraced by
-    ``_walk``, for its error.  For the least generator of GF(p^k) this is
-    the (already checked) antilog table itself, not a copy: do not modify
-    it."""
+def generator_powers(spec: FieldSpec) -> list[int]:
+    """g^0, g^1, ..., g^(N-2) for the least generator g of the field of
+    order N, by the one checked walk (``_walk``).  Z_p walks x -> x * g mod
+    p; GF(p^k) returns its antilog table, walked by the same check when it
+    was built, itself and not a copy: do not modify it."""
     if spec.degree == 1:
-        p = spec.characteristic
-        powers, x = [1], 1
-        append = powers.append
-        for _ in range(p - 2):
-            x = x * g % p
-            append(x)
-        # back at 1 after p - 1 steps and not before: then g has order p - 1,
-        # and its p - 1 powers are distinct
-        if x * g % p == 1 and powers.count(1) == 1:
-            return powers
-        return _walk(lambda x: x * g % p, p, g)  # raises: g is no generator
-    exp = spec._tables[0]
-    if g == exp[1]:
-        return exp
-    return _walk(functools.partial(spec.mul, g), spec.order, g)
+        p, g = spec.characteristic, multiplicative_generator(spec)
+        return _walk(lambda x: x * g % p, p)
+    return spec._tables[0]

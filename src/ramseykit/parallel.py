@@ -30,8 +30,8 @@ no bit below a row's own vertex:
   the candidates left after the earlier orbits.  The orbits cover every
   common neighbour of the prefix and are searched by least member, so a
   candidate below s lies in an earlier orbit and is excluded;
-* both loops in ``_dfs`` take the least candidate v out of the set, and so
-  everything below v, before they read v's row;
+* ``_dfs``'s loop takes the least candidate v out of the set, and so
+  everything below v, before it reads v's row;
 * the need == 2 OR test reads whole rows, but an edge {v, w} of the
   candidates, v < w, is bit w of row v in both kinds, so the candidates
   hold an edge iff ``cand & OR(rows[v] for v in cand)`` is not zero (no
@@ -40,7 +40,10 @@ no bit below a row's own vertex:
 One vertex still needed is answered at entry by the least candidate.  At
 every other level one loop peels the least candidate v while ``need`` or
 more remain and descends into v's neighbours among those left, so the top
-``need - 1`` candidates' rows are never read.  Two still needed is the hot
+``need - 1`` candidates' rows are never read.  The descent is a loop, not
+a recursion: the candidates left at each level wait on a list, so a
+search may nest deeper than Python's recursion limit (a K_1100 in K_1100
+minus an edge: 1,098 nodes, each one level below the last).  Two still needed is the hot
 level of the K3 searches of composed witnesses, whose candidate sets there
 are dense.  On rows in a ``list`` (``verify`` builds one for a plan
 rooted at every vertex), ``_DENSE`` or more candidates are first decided
@@ -87,28 +90,40 @@ class Rows(dict):
 
 
 def _dfs(rows, cand: int, need: int, prefix: list[int], stats: list[int]):
-    stats[0] += 1
-    if need == 1:
-        if not cand:
-            return None
-        prefix.append((cand & -cand).bit_length() - 1)
-        return prefix
-    if need == 2 and type(rows) is list and cand.bit_count() >= _DENSE:  # one OR in C
-        low = (cand & -cand).bit_length() - 1
-        if not cand & reduce(or_, compress(
-                rows[low:], bin(cand >> low)[:1:-1].encode().translate(_ONES)), 0):
-            return None  # no candidate has a neighbour among the candidates
-    while cand.bit_count() >= need:
-        low = cand & -cand
-        v = low.bit_length() - 1
-        cand ^= low
-        nxt = cand & rows[v]
-        if nxt.bit_count() >= need - 1:
-            prefix.append(v)
-            if _dfs(rows, nxt, need - 1, prefix, stats) is not None:
-                return prefix
-            prefix.pop()
-    return None
+    """The least ``need``-clique in ``cand`` (which holds at least ``need``
+    vertices) appended to ``prefix``, or None; ``stats[0]`` counts one node
+    per candidate set entered."""
+    or_test = type(rows) is list
+    stack = []  # the candidates left at each level above this one
+    nodes = 0
+    while True:  # enter a node: cand holds at least need vertices
+        nodes += 1
+        if need == 1:
+            prefix.append((cand & -cand).bit_length() - 1)
+            stats[0] += nodes
+            return prefix
+        if need == 2 and or_test and cand.bit_count() >= _DENSE:  # one OR in C
+            low = (cand & -cand).bit_length() - 1
+            if not cand & reduce(or_, compress(
+                    rows[low:], bin(cand >> low)[:1:-1].encode().translate(_ONES)), 0):
+                cand = 0  # no candidate has a neighbour among the candidates
+        while True:  # peel the least candidate; back up a level when too few are left
+            if cand.bit_count() < need:
+                if not stack:
+                    stats[0] += nodes
+                    return None
+                cand, need = stack.pop(), need + 1
+                prefix.pop()
+                continue
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            nxt = cand & rows[v]
+            if nxt.bit_count() >= need - 1:
+                break
+        stack.append(cand)
+        prefix.append(v)
+        cand, need = nxt, need - 1
 
 
 def orbit_search(rows, k: int, orbits,

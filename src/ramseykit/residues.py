@@ -41,7 +41,7 @@ from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
-from .field import FieldSpec, generator_powers, multiplicative_generator
+from .field import FieldSpec, generator_powers
 from .parallel import Rows, orbit_search
 from .records import record
 
@@ -103,7 +103,7 @@ def power_cosets(field: FieldSpec, m: int) -> CosetPartition:
         raise ValueError("m must be in [2, 254]")
     if (n - 1) % m:
         raise ValueError(f"{m} does not divide {n - 1} = |{field}*|")
-    return CosetPartition(field, m, generator_powers(field, multiplicative_generator(field)))
+    return CosetPartition(field, m, generator_powers(field))
 
 
 def negation_closed(partition: CosetPartition) -> bool:

@@ -90,7 +90,7 @@ from __future__ import annotations
 import re
 
 from .coloring import EdgeColoring, FormatError, coloring_digest
-from .field import generator_powers, multiplicative_generator
+from .field import generator_powers
 from .parallel import orbit_search
 from .records import canonical_int, record
 
@@ -124,7 +124,7 @@ def _edge_orbits(coloring: EdgeColoring) -> tuple[int, dict]:
     verified multiplier group <g^d> on S_c, each as (least member,
     members), least first."""
     field, n = coloring.field, coloring.n
-    powers = generator_powers(field, multiplicative_generator(field))
+    powers = generator_powers(field)
     colors = bytes(coloring.edge_color(0, x) for x in powers)  # color of g^i
     d = next(d for d in range(1, n) if (n - 1) % d == 0
              and colors == colors[:d] * ((n - 1) // d))

@@ -200,9 +200,14 @@ def poly_mul(spec, a, b):
 
 
 def poly_inv(spec, a):
-    """a^(N-2) by square and multiply."""
+    """a^(N-2)."""
     assert a != 0
-    result, base, e = 1, a, spec.order - 2
+    return poly_pow(spec, a, spec.order - 2)
+
+
+def poly_pow(spec, a, e):
+    """a^e by square and multiply with ``poly_mul``: no field tables."""
+    result, base = 1, a
     while e:
         if e & 1:
             result = poly_mul(spec, result, base)

@@ -334,17 +334,34 @@ def test_failed_self_check_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: reported clique")
 
 
-def test_uncaught_crash_exits_3_not_refuted(tmp_path, capsys):
-    # color 1 is all of K_1100 but one edge, so it has no K_1100, but the
-    # search for one recurses deeper than the interpreter allows: the
-    # RecursionError is an internal failure, not the refuted code 1
+def test_uncaught_crash_exits_3_not_refuted(tmp_path, capsys, monkeypatch):
+    # a search that crashes (here a RecursionError in place of the search)
+    # is an internal failure, not the refuted code 1
+    import ramseykit.verify as verify
+
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    path = _pentagon_file(tmp_path, capsys)
+    monkeypatch.setattr(verify, "orbit_search", crash)
+    code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "3,3")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: RecursionError: ")
+
+
+@pytest.mark.parametrize("edge_color, expected", [
+    (2, (0, "PASS R(1100,3)>=1101\n")),
+    (1, (1, "FAIL color=1 clique=" + ",".join(map(str, range(1100))) + "\n"))])
+def test_search_deeper_than_the_recursion_limit(tmp_path, capsys, edge_color, expected):
+    # color 1 is all of K_1100 but (when edge_color is 2) the edge
+    # {1098, 1099}: the search for a K_1100 goes 1,099 levels deep, past
+    # the interpreter's recursion limit, and decides either way
     n = 1100
-    col = ExplicitColoring.from_function(n, 2, lambda u, v: 2 if u == n - 2 else 1)
+    col = ExplicitColoring.from_function(n, 2, lambda u, v: edge_color if u == n - 2 else 1)
     save_coloring(col, tmp_path / "k1100.col")
     code, out, err = run(capsys, "verify", "-i", str(tmp_path / "k1100.col"),
                          "--targets", "1100,3")
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error: RecursionError: ")
+    assert ((code, out), err) == (expected, "")
 
 
 def test_closed_stdout_exits_3():
@@ -570,4 +587,4 @@ def test_odd_characteristic_circulant_above_the_cap_loads_and_stops_at_verify(
     assert load_coloring(path).n == 81
     code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "5,5")
     assert (code, out) == (3, "")
-    assert err.startswith("error: GF(3^4) arithmetic needs tables") and "up to order 2^20" in err
+    assert err.startswith("error: GF(3^4) multiplication needs tables") and "up to order 2^20" in err

@@ -23,6 +23,7 @@ from helpers import (
     poly_inv,
     poly_mul,
     poly_neg,
+    poly_pow,
     poly_sub,
     trial_division_primes,
 )
@@ -153,19 +154,30 @@ def test_multiplicative_group_cyclic_all_orders_up_to_256():
 
 
 def test_generator_powers():
-    assert generator_powers(make_field(13), 2) == [1, 2, 4, 8, 3, 6, 12, 11, 9, 5, 10, 7]
-    gf81 = make_field(3, 4)
-    g = multiplicative_generator(gf81)
-    powers = generator_powers(gf81, g)
-    assert powers == [gf81.pow(g, i) for i in range(80)]
+    assert generator_powers(make_field(13)) == [1, 2, 4, 8, 3, 6, 12, 11, 9, 5, 10, 7]
+    assert generator_powers(make_field(2)) == [1]
 
 
-@pytest.mark.parametrize("p,k,g", [(13, 1, 3), (2, 4, 8), (3, 1, 0), (2, 1, 0), (5, 1, 1)])
-def test_generator_powers_refuses_a_non_generator(p, k, g):
-    # 3 has order 3 mod 13 and 8 order 5 in GF(16)* (revisits); 0 in Z_3 and
-    # Z_2 repeats nothing in n - 1 steps but does not come back to 1
-    with pytest.raises(AssertionError, match="generator is wrong"):
-        generator_powers(make_field(p, k), g)
+def test_walk_is_checked_for_every_element_up_to_order_64():
+    # walking a's step gives a's powers iff a generates the group; any
+    # other a (a revisit, or 0, which never comes back to 1) is refused
+    walks = refused = 0
+    for spec in _all_fields_up_to(64):
+        n = spec.order
+        for a in range(n):
+            step = lambda x, a=a, s=spec: s.mul(x, a)
+            if a and multiplicative_order(spec, a) == n - 1:
+                powers = [1]
+                for _ in range(n - 2):
+                    powers.append(poly_mul(spec, powers[-1], a))
+                assert field._walk(step, n) == powers, (spec, a)
+                walks += 1
+            else:
+                with pytest.raises(AssertionError, match="generator is wrong"):
+                    field._walk(step, n)
+                refused += 1
+    # 27 fields of 735 elements in all, of which sum(phi(N - 1)) generate
+    assert (walks, refused) == (310, 425)
 
 
 @pytest.mark.parametrize("spec", [make_field(61), make_field(2, 6), make_field(3, 3),
@@ -242,10 +254,17 @@ def test_galois_order_cap(capsys):
         assert gf3.add(a, b) == poly_add(gf3, a, b)
         assert gf3.sub(a, b) == poly_sub(gf3, a, b)
         assert gf3.neg(a) == poly_neg(gf3, a)
-    for spec in (gf2, gf3):
+    # the generator test needs no tables: p itself, the least element
+    # outside Z_p, generates both groups, by polynomial powers g^(q/r) != 1
+    # for the primes r of q = 2^21 - 1 = 7^2 * 127 * 337 and 3^13 - 1 = 2 * 797161
+    for spec, primes in ((gf2, (7, 127, 337)), (gf3, (2, 797161))):
+        q = spec.order - 1
+        assert multiplicative_generator(spec) == spec.characteristic
+        assert all(q % r == 0 and is_prime(r) for r in primes)
+        assert all(poly_pow(spec, spec.characteristic, q // r) != 1 for r in primes)
         for op in (lambda: spec.mul(2, 3), lambda: spec.inv(2), lambda: spec.pow(2, 5),
-                   lambda: multiplicative_generator(spec)):
-            with pytest.raises(ValueError, match=r"up to order 2\^20"):
+                   lambda: generator_powers(spec)):
+            with pytest.raises(ValueError, match=r"multiplication needs tables .* up to order 2\^20"):
                 op()
     assert [s.order for s in admissible_orders(3, 1 << 22, 1 << 22)] == [1 << 22]
     assert main(["primes", "--mod", "3", "--min", str(1 << 22), "--max", str(1 << 22)]) == 0
@@ -272,7 +291,7 @@ def test_galois_order_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(field, "GALOIS_MAX_ORDER", 27)
     field._galois_tables.cache_clear()
     assert make_field(3, 3).mul(3, 9) == poly_mul(make_field(3, 3), 3, 9)
-    with pytest.raises(ValueError, match="arithmetic needs tables"):
+    with pytest.raises(ValueError, match="multiplication needs tables"):
         make_field(2, 5).mul(2, 3)
     field._galois_tables.cache_clear()
 
@@ -290,14 +309,10 @@ def test_table_walk_is_checked(monkeypatch):
 
 @pytest.mark.parametrize("spec", [make_field(2, 4), make_field(3, 8)], ids=str)
 def test_generator_powers_is_the_antilog_table(spec):
-    q = spec.order - 1
     g = multiplicative_generator(spec)
-    powers = generator_powers(spec, g)
-    assert powers is generator_powers(spec, g)  # the table itself, not a copy
+    powers = generator_powers(spec)
+    assert powers is generator_powers(spec) is field._galois_tables(spec)[0]  # not a copy
     x = 1
-    for i in range(q):
+    for i in range(spec.order - 1):
         assert powers[i] == x
         x = poly_mul(spec, x, g)
-    h = spec.pow(g, 7)  # another generator (gcd(7, q) = 1): walked and checked
-    other = generator_powers(spec, h)
-    assert other is not powers and other == [powers[7 * i % q] for i in range(q)]

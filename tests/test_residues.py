@@ -20,6 +20,7 @@ from helpers import (
     brute_has_mono_clique,
     loop_search_roots,
     plain_witness,
+    poly_pow,
     subset_witness,
     translate_cosets,
 )
@@ -218,13 +219,14 @@ def test_walk_and_clique_search_match_oracles():
 
 def test_walk_self_check(monkeypatch, capsys):
     # g^3 has order 5 in GF(16)*: the walk revisits 1 and must refuse
-    from ramseykit import residues
+    from ramseykit import field
     from ramseykit.cli import main
 
-    real = residues.multiplicative_generator
-    gf16 = make_field(2, 4)
-    monkeypatch.setattr(residues, "multiplicative_generator",
-                        lambda spec: spec.pow(real(spec), 3))
+    real = field.multiplicative_generator
+    gf16 = make_field(2, 4)  # a new instance: its tables are not built yet
+    monkeypatch.setattr(field, "multiplicative_generator",
+                        lambda spec: poly_pow(spec, real(spec), 3))
+    field._galois_tables.cache_clear()
     with pytest.raises(AssertionError, match="generator is wrong"):
         power_cosets(gf16, 3)
     assert main(["search", "--galois", "2,4", "--mod", "3", "-t", "3"]) == 3

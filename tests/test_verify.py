@@ -17,6 +17,7 @@ from ramseykit import (
     chung_compose,
     coloring_digest,
     find_mono_clique,
+    load_coloring,
     make_field,
     negation_closed,
     power_cosets,
@@ -27,7 +28,7 @@ from ramseykit import (
 
 from ramseykit import verify
 
-from helpers import brute_mono_clique, loop_search_roots
+from helpers import brute_mono_clique, loop_search_roots, poly_pow
 
 
 def pentagon():
@@ -228,14 +229,16 @@ def test_orbit_search_matches_brute_force(col, k):
 def test_bad_generator_walk_stops_the_verifier(monkeypatch, tmp_path, capsys):
     # g^3 has order 5 in GF(16)*: the verifier's walk must refuse it rather
     # than search the orbits of a smaller group
+    from ramseykit import field
     from ramseykit.cli import main
 
-    gf16 = build_cayley_coloring(power_cosets(make_field(2, 4), 3))
     path = tmp_path / "gf16.col"
-    save_coloring(gf16, path)
-    real = verify.multiplicative_generator
-    monkeypatch.setattr(verify, "multiplicative_generator",
-                        lambda spec: spec.pow(real(spec), 3))
+    save_coloring(build_cayley_coloring(power_cosets(make_field(2, 4), 3)), path)
+    real = field.multiplicative_generator
+    monkeypatch.setattr(field, "multiplicative_generator",
+                        lambda spec: poly_pow(spec, real(spec), 3))
+    field._galois_tables.cache_clear()
+    gf16 = load_coloring(path)  # a new field: its tables are not built yet
     with pytest.raises(AssertionError, match="generator is wrong"):
         verify_witness(gf16, (3, 3, 3))
     with pytest.raises(AssertionError, match="generator is wrong"):
