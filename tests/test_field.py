@@ -180,6 +180,16 @@ def test_walk_is_checked_for_every_element_up_to_order_64():
     assert (walks, refused) == (310, 425)
 
 
+@pytest.mark.parametrize("p,k,g", [(13, 1, 3), (2, 4, 8), (3, 1, 0), (2, 1, 0), (5, 1, 1)])
+def test_generator_powers_refuses_a_non_generator(p, k, g):
+    # the walk behind generator_powers, on the named cases: 3 has order 3
+    # mod 13 and 8 order 5 in GF(16)* (revisits); 0 in Z_3 and Z_2 repeats
+    # nothing in n - 1 steps but does not come back to 1
+    spec = make_field(p, k)
+    with pytest.raises(AssertionError, match="generator is wrong"):
+        field._walk(lambda x: spec.mul(x, g), spec.order)
+
+
 @pytest.mark.parametrize("spec", [make_field(61), make_field(2, 6), make_field(3, 3),
                                   make_field(7, 2)])
 def test_distributivity_exhaustive(spec):
