@@ -88,14 +88,10 @@ def chung_compose(comp: CompositionInput, validate: bool = True) -> ExplicitColo
     """
     T, G, targets = comp.t_witness, comp.g_witness, comp.targets
     if validate:
-        report = verify_mod.verify_witness(T, (3, 3) + targets)
-        if not report.passed:
-            color = next(i for i, c in enumerate(report.cliques, 1) if c is not None)
-            raise CompositionError("T", color, report.cliques[color - 1])
-        report = verify_mod.verify_witness(G, targets)
-        if not report.passed:
-            color = next(i for i, c in enumerate(report.cliques, 1) if c is not None)
-            raise CompositionError("G", color, report.cliques[color - 1])
+        for which, witness, ks in (("T", T, (3, 3) + targets), ("G", G, targets)):
+            failure = verify_mod.verify_witness(witness, ks).failure
+            if failure is not None:
+                raise CompositionError(which, *failure)
 
     nT, nG = T.n, G.n
     n = 3 * nT + nG

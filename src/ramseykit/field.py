@@ -11,24 +11,26 @@ The encoding also fixes a total order on elements (plain integer order),
 which everything that promises a "first found" or "least" result relies
 on.
 
-Addition, subtraction and negation follow the definition of the
-additive group Z_p^k: digit by digit mod p on the encoding (XOR when
-p = 2), with Z_p as the one-digit case.  Z_p multiplies with plain int
-arithmetic.  The least multiplicative generator g of either kind is
-found by one test (``multiplicative_generator``: g^(q/r) != 1 for every
-prime r | q = N - 1, by int or polynomial powers) and its powers by one
-checked walk (``_walk``).  GF(p^k) multiplication (k > 1) is table
-lookups, in tables built once per field on first use from that walk: the
-antilog list ``exp[i] = g^i`` and the logs ``log[g^i] = i``.  ``mul``,
-``inv`` and ``pow`` add or scale logs mod N - 1.  Polynomial
-multiplication remains only in the generator test.
+Subtraction and negation follow the definition of the additive group
+Z_p^k: digit by digit mod p on the encoding (XOR when p = 2), with Z_p as
+the one-digit case.  Z_p multiplies with plain int arithmetic.  The least
+multiplicative generator g of either kind is found by one test
+(``multiplicative_generator``: g^(q/r) != 1 for every prime r | q = N - 1,
+by int or polynomial powers).  ``generator_powers`` is the one place a
+field is walked: g^0, ..., g^(N-2) by one checked walk (``_walk``),
+stepping x -> x * g mod p in Z_p and through the times-g table in
+GF(p^k).  Only GF(p^k) multiplication (k > 1) reads more: logs
+``log[g^i] = i`` built from that walk on the first ``mul`` and cached per
+field, so ``mul`` adds logs mod N - 1.  Polynomial multiplication remains
+only in the generator test and the times-g table.
 
-The tables cap Galois multiplication at ``GALOIS_MAX_ORDER`` = 2^20
-elements: at the cap they take about 46 MB and 1-2 s to build (GF(3^8):
-0.3 MB, 0.02 s).  Above it ``mul``, ``inv``, ``pow`` and
-``generator_powers`` raise ValueError, while addition, subtraction,
-negation, ``multiplicative_generator``, ``make_field`` and
-``admissible_orders`` still work up to ``MAX_ORDER``.
+The walk is capped at ``MAX_WALK_ORDER`` = 2^20 elements for both kinds:
+``generator_powers`` refuses a larger field with ValueError before it
+seeks the generator, and so does GF(p^k) ``mul``.  At the cap a walk's
+list takes about 42 MB and under 1 s, and GF(p^k) logs 4 MB more
+(GF(3^8): 0.3 MB, 0.01 s).  Subtraction, negation,
+``multiplicative_generator``, ``make_field`` and ``admissible_orders``
+still work up to ``MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from array import array
 from .records import record
 
 MAX_ORDER = 1 << 31
-# Largest GF(p^k), k > 1, with multiplication: its tables take 41-45 bytes
-# an element (the antilog list and its ints, and 4-byte logs).
-GALOIS_MAX_ORDER = 1 << 20
+# Largest field whose generator is walked: the walk's list of N - 1 ints
+# takes about 40 bytes an element, GF(p^k) logs 4 more.
+MAX_WALK_ORDER = 1 << 20
 
 # Strong-pseudoprime bases proven deterministic for n < 3.3 * 10^24,
 # far beyond MAX_ORDER.
@@ -190,28 +192,18 @@ class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, No
         # share one build
         return _galois_tables(self)
 
-    def add(self, a: int, b: int) -> int:
-        if self.characteristic == 2:
-            return a ^ b
-        return self._digitwise(a, b, 1)
-
     def neg(self, a: int) -> int:
-        if self.characteristic == 2:
-            return a
-        return self._digitwise(0, a, -1)
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        if self.characteristic == 2:
-            return a ^ b
-        return self._digitwise(a, b, -1)
-
-    def _digitwise(self, a: int, b: int, sign: int) -> int:
-        """The element whose k base-p digits are those of a plus sign times
-        those of b, each mod p."""
+        """The element whose k base-p digits are those of a minus those of
+        b, each mod p."""
         p = self.characteristic
+        if p == 2:
+            return a ^ b
         r, w = 0, 1
         for _ in range(self.degree):
-            r += (a + sign * b) % p * w  # mod p, a and b are their low digits
+            r += (a - b) % p * w  # mod p, a and b are their low digits
             a //= p
             b //= p
             w *= p
@@ -224,25 +216,6 @@ class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, No
             return 0
         exp, log = self._tables
         return exp[(log[a] + log[b]) % len(exp)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative inverse")
-        if self.degree == 1:
-            return pow(a, self.characteristic - 2, self.characteristic)
-        exp, log = self._tables
-        return exp[-log[a] % len(exp)]
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e; negative e inverts first."""
-        if self.degree == 1:
-            return pow(a, e, self.characteristic)
-        if a == 0:
-            if e < 0:
-                raise ValueError("0 has no multiplicative inverse")
-            return 0 if e else 1
-        exp, log = self._tables
-        return exp[log[a] * e % len(exp)]
 
 
 def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
@@ -309,13 +282,10 @@ def _walk(step, n: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def _galois_tables(spec: FieldSpec) -> tuple[list[int], array]:
-    """The antilog list exp and the logs log of GF(p^k) for its least
-    generator g = exp[1]."""
+    """The powers exp of GF(p^k)'s least generator and their logs log, for
+    ``mul``."""
+    exp = generator_powers(spec)
     n = spec.order
-    if n > GALOIS_MAX_ORDER:
-        raise ValueError(f"{spec} multiplication needs tables of {n} entries; "
-                         f"Galois fields are supported up to order 2^20")
-    exp = _walk(_times_table(spec, multiplicative_generator(spec)).__getitem__, n)
     log = array("I", [n - 1]) * n  # log[0] = N - 1 stands for "no log"
     for i, x in enumerate(exp):
         log[x] = i
@@ -330,25 +300,15 @@ def make_field(p: int, k: int = 1) -> FieldSpec:
     return FieldSpec(p, k, canonical_modulus(p, k))
 
 
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n."""
-    r = int(round(n ** (1.0 / k)))
-    while r > 1 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
 def _prime_power(n: int) -> tuple[int, int] | None:
-    """Decompose n as p^k with p prime and k >= 2, if possible."""
-    for k in range(2, n.bit_length() + 1):
-        r = _iroot(n, k)
-        if r < 2:
-            break
-        if r**k == n and is_prime(r):
-            return r, k
-    return None
+    """A composite n as p^k, p prime, if it is one: p is n's least divisor,
+    and n is a power of p iff dividing p out leaves 1."""
+    p = next(d for d in range(2, n) if n % d == 0)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 def admissible_orders(m: int, lo: int, hi: int, prime_only: bool = False):
@@ -406,10 +366,14 @@ def multiplicative_generator(spec: FieldSpec) -> int:
 
 def generator_powers(spec: FieldSpec) -> list[int]:
     """g^0, g^1, ..., g^(N-2) for the least generator g of the field of
-    order N, by the one checked walk (``_walk``).  Z_p walks x -> x * g mod
-    p; GF(p^k) returns its antilog table, walked by the same check when it
-    was built, itself and not a copy: do not modify it."""
+    order N, a new list, by the one checked walk (``_walk``): x -> x * g
+    mod p for Z_p, the times-g table for GF(p^k).  A field above
+    ``MAX_WALK_ORDER`` is refused before its generator is sought."""
+    n = spec.order
+    if n > MAX_WALK_ORDER:
+        raise ValueError(f"{spec} has {n} elements; the generator walk is "
+                         f"supported up to order 2^20")
+    g = multiplicative_generator(spec)
     if spec.degree == 1:
-        p, g = spec.characteristic, multiplicative_generator(spec)
-        return _walk(lambda x: x * g % p, p)
-    return spec._tables[0]
+        return _walk(lambda x: x * g % n, n)
+    return _walk(_times_table(spec, g).__getitem__, n)

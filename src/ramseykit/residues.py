@@ -62,9 +62,9 @@ class CosetPartition:
     generator.  With that indexing, multiplying elements of cosets i and j
     always lands in coset (i + j) mod m.
 
-    ``powers`` is the checked walk g^0, ..., g^(N-2) (for GF(p^k) the
-    field's antilog table itself: do not modify it).  The cosets and the
-    search's exponent tables are built from it on first read.
+    ``powers`` is the checked walk g^0, ..., g^(N-2), the partition's own
+    list.  The cosets and the search's exponent tables are built from it on
+    first read.
     """
 
     def __init__(self, field: FieldSpec, m: int, powers):

@@ -283,8 +283,13 @@ class VerificationReport(record("VerificationReport", "targets cliques searches"
         return sum(s.nodes for s in self.searches)
 
     @property
+    def failure(self) -> tuple[int, tuple[int, ...]] | None:
+        """(color, clique) of the first color that holds its K_k, or None."""
+        return next(((c, q) for c, q in enumerate(self.cliques, 1) if q is not None), None)
+
+    @property
     def passed(self) -> bool:
-        return all(c is None for c in self.cliques)
+        return self.failure is None
 
 
 def verify_witness(coloring: EdgeColoring, targets, *,
@@ -357,12 +362,9 @@ def certify(coloring: EdgeColoring, targets, out=None) -> RamseyCertificate:
     decided alone and ``coloring_sha`` is None."""
     report = verify_witness(coloring, targets)
     sha = None if out is None else coloring_digest(coloring)
-    if report.passed:
-        cert = RamseyCertificate(report.targets, coloring.n, True, sha)
-    else:
-        color = next(i for i, c in enumerate(report.cliques, 1) if c is not None)
-        cert = RamseyCertificate(report.targets, coloring.n, False, sha,
-                                 clique_color=color, clique=report.cliques[color - 1])
+    failure = report.failure
+    cert = RamseyCertificate(report.targets, coloring.n, failure is None, sha,
+                             *(failure or ()))
     if out is not None:
         with open(out, "w", encoding="ascii") as stream:
             stream.write(cert.to_text())

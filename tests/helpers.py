@@ -107,7 +107,7 @@ def translate_cosets(field, m):
     from ramseykit.field import multiplicative_generator
 
     n = field.order
-    residues = sorted({field.pow(x, m) for x in range(1, n)})
+    residues = sorted({poly_pow(field, x, m) for x in range(1, n)})
     labels = bytearray([255]) * n
     cosets = []
     g = multiplicative_generator(field)

@@ -577,14 +577,48 @@ def test_size_line_of_too_many_digits_exits_4(tmp_path, capsys):
 def test_odd_characteristic_circulant_above_the_cap_loads_and_stops_at_verify(
         tmp_path, capsys, monkeypatch):
     # with the cap at 27, GF(3^4) lies above it: its file loads (negation
-    # acts on digits) and verify stops at its first multiplication, exit 3,
-    # as a GF(2^k) file above the cap does
+    # acts on digits) and verify stops at its generator walk, exit 3, as a
+    # GF(2^k) file above the cap does
     path = tmp_path / "gf81.col"
     assert run(capsys, "build", "-p", "3", "-k", "4", "-m", "2", "-o", str(path))[0] == 0
-    monkeypatch.setattr(field, "GALOIS_MAX_ORDER", 27)
-    field._galois_tables.cache_clear()
-    field.multiplicative_generator.cache_clear()
+    monkeypatch.setattr(field, "MAX_WALK_ORDER", 27)
     assert load_coloring(path).n == 81
     code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "5,5")
     assert (code, out) == (3, "")
-    assert err.startswith("error: GF(3^4) multiplication needs tables") and "up to order 2^20" in err
+    assert err.startswith("error: GF(3^4) has 81 elements") and "up to order 2^20" in err
+
+
+def test_prime_field_above_the_cap_is_refused_before_any_walk(tmp_path, capsys, monkeypatch):
+    # with the cap at 97, search and build refuse Z_101 (exit 3) before its
+    # generator is sought or walked; the cap is inclusive, so Z_97 is
+    # still searched
+    message = "error: Z_101 has 101 elements; the generator walk is supported up to order 2^20\n"
+
+    def no_call(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(field, "MAX_WALK_ORDER", 97)
+    with monkeypatch.context() as patch:
+        patch.setattr(field, "multiplicative_generator", no_call)
+        patch.setattr(field, "_walk", no_call)
+        assert run(capsys, "search", "--mod", "2", "-t", "3", "--min", "101", "--max", "101") \
+            == (3, "", message)
+        assert run(capsys, "build", "-p", "101", "-m", "2", "-o", str(tmp_path / "z101.col")) \
+            == (3, "", message)
+    assert not (tmp_path / "z101.col").exists()
+    assert run(capsys, "search", "--mod", "2", "-t", "3", "--min", "97", "--max", "97") \
+        == (0, "97: witness 1,2\n", "")
+
+
+def test_prime_circulant_above_the_cap_loads_and_stops_at_verify(tmp_path, capsys, monkeypatch):
+    # a Z_101 file, built below the real cap, loads with the cap at 97
+    # (loading subtracts and negates, and walks nothing) and verify stops
+    # at the walk, exit 3
+    path = tmp_path / "z101.col"
+    assert run(capsys, "build", "-p", "101", "-m", "2", "-o", str(path))[0] == 0
+    monkeypatch.setattr(field, "MAX_WALK_ORDER", 97)
+    assert load_coloring(path).n == 101
+    code, out, err = run(capsys, "verify", "-i", str(path), "--targets", "5,5")
+    assert (code, out) == (3, "")
+    assert err == ("error: Z_101 has 101 elements; the generator walk is supported "
+                   "up to order 2^20\n")

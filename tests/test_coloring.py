@@ -17,7 +17,7 @@ from ramseykit.coloring import (
     save_coloring,
 )
 
-from helpers import symmetric_rows
+from helpers import poly_add, symmetric_rows
 
 
 def pentagon():
@@ -65,7 +65,7 @@ def test_translation_invariance_exhaustive(p, m):
     for c in range(p):
         for u in range(p):
             for v in range(u + 1, p):
-                assert col.edge_color(f.add(u, c), f.add(v, c)) == col.edge_color(u, v)
+                assert col.edge_color(poly_add(f, u, c), poly_add(f, v, c)) == col.edge_color(u, v)
 
 
 def test_to_explicit_preserves_colors():

@@ -1,13 +1,14 @@
 """Field arithmetic, canonical moduli, and admissible order enumeration."""
 
 import random
+import re
 
 import pytest
 
 from ramseykit import field
 from ramseykit.cli import main
 from ramseykit.field import (
-    GALOIS_MAX_ORDER,
+    MAX_WALK_ORDER,
     FieldSpec,
     admissible_orders,
     canonical_modulus,
@@ -113,13 +114,10 @@ def test_field_spec_rejects_reducible_modulus():
 
 def test_prime_field_ops():
     f = make_field(7)
-    assert f.inv(3) == 5  # 3 * 5 = 15 = 1 mod 7
+    assert f.mul(3, 5) == 1  # 3 * 5 = 15 = 1 mod 7
     assert f.mul(4, 1) == 4
-    assert f.add(5, 4) == 2
     assert f.sub(2, 5) == 4
-    assert f.pow(3, 6) == 1
-    with pytest.raises(ValueError):
-        f.inv(0)
+    assert f.neg(3) == 4
 
 
 def test_gf16_reduction():
@@ -139,12 +137,11 @@ def _all_fields_up_to(limit):
     return sorted(specs, key=lambda s: s.order)
 
 
-def test_inv_is_involutive_all_orders_up_to_256():
+def test_mul_by_the_oracle_inverse_gives_1_all_orders_up_to_256():
     for spec in _all_fields_up_to(256):
         for a in range(1, spec.order):
-            inv = spec.inv(a)
-            assert spec.mul(a, inv) == 1
-            assert spec.inv(inv) == a
+            inv = poly_inv(spec, a)
+            assert spec.mul(a, inv) == spec.mul(inv, a) == 1
 
 
 def test_multiplicative_group_cyclic_all_orders_up_to_256():
@@ -195,19 +192,20 @@ def test_generator_powers_refuses_a_non_generator(p, k, g):
 def test_distributivity_exhaustive(spec):
     n = spec.order
     assert n <= 64
+    add = [[poly_add(spec, b, c) for c in range(n)] for b in range(n)]
     for a in range(n):
         for b in range(n):
             ab = spec.mul(a, b)
             for c in range(n):
-                assert spec.mul(a, spec.add(b, c)) == spec.add(ab, spec.mul(a, c))
+                assert spec.mul(a, add[b][c]) == add[ab][spec.mul(a, c)]
 
 
-def test_pow_square_and_multiply_agrees_with_repeated_mul():
+def test_repeated_mul_agrees_with_square_and_multiply_oracle():
     spec = make_field(3, 2)
     for a in range(spec.order):
         acc = 1
         for e in range(10):
-            assert spec.pow(a, e) == acc
+            assert poly_pow(spec, a, e) == acc
             acc = spec.mul(acc, a)
 
 
@@ -231,9 +229,6 @@ def test_tables_match_polynomial_oracle_exhaustive(spec):
     assert multiplicative_generator(spec) == _oracle_generator(spec)
     for a in range(n):
         assert spec.neg(a) == poly_neg(spec, a)
-        if a:
-            assert spec.inv(a) == spec.pow(a, -1) == poly_inv(spec, a)
-        assert [spec.add(a, b) for b in range(n)] == [poly_add(spec, a, b) for b in range(n)]
         assert [spec.sub(a, b) for b in range(n)] == [poly_sub(spec, a, b) for b in range(n)]
         assert [spec.mul(a, b) for b in range(n)] == [poly_mul(spec, a, b) for b in range(n)]
 
@@ -245,23 +240,19 @@ def test_tables_match_polynomial_oracle_sampled(p, k):
     rng = random.Random(1000 * p + k)
     elems = [0, 1, p - 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(1500)]
     for a, b in zip(elems, elems[1:] + elems[:1]):
-        assert spec.add(a, b) == poly_add(spec, a, b)
         assert spec.sub(a, b) == poly_sub(spec, a, b)
         assert spec.mul(a, b) == poly_mul(spec, a, b)
         assert spec.neg(a) == poly_neg(spec, a)
-        if a:
-            assert spec.inv(a) == poly_inv(spec, a)
 
 
 def test_galois_order_cap(capsys):
-    assert GALOIS_MAX_ORDER == 1 << 20
+    assert MAX_WALK_ORDER == 1 << 20
     gf2 = make_field(2, 21)  # the field and its encoding exist above the cap
     gf3 = make_field(3, 13)
     assert (gf2.order, gf3.order) == (1 << 21, 3**13)
-    assert gf2.add(2, 3) == 1  # addition acts on digits and needs no tables
+    assert gf2.sub(2, 3) == 1  # subtraction acts on digits and needs no walk
     pairs = [(0, 0), (1, 2), (2, 2), (5, 3**12 + 7), (3**13 - 1, 3**13 - 1), (123456, 1 << 20)]
     for a, b in pairs:
-        assert gf3.add(a, b) == poly_add(gf3, a, b)
         assert gf3.sub(a, b) == poly_sub(gf3, a, b)
         assert gf3.neg(a) == poly_neg(gf3, a)
     # the generator test needs no tables: p itself, the least element
@@ -272,16 +263,17 @@ def test_galois_order_cap(capsys):
         assert multiplicative_generator(spec) == spec.characteristic
         assert all(q % r == 0 and is_prime(r) for r in primes)
         assert all(poly_pow(spec, spec.characteristic, q // r) != 1 for r in primes)
-        for op in (lambda: spec.mul(2, 3), lambda: spec.inv(2), lambda: spec.pow(2, 5),
-                   lambda: generator_powers(spec)):
-            with pytest.raises(ValueError, match=r"multiplication needs tables .* up to order 2\^20"):
+        message = f"{spec} has {spec.order} elements; the generator walk is supported " \
+                  f"up to order 2^20"
+        for op in (lambda: spec.mul(2, 3), lambda: generator_powers(spec)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 op()
     assert [s.order for s in admissible_orders(3, 1 << 22, 1 << 22)] == [1 << 22]
     assert main(["primes", "--mod", "3", "--min", str(1 << 22), "--max", str(1 << 22)]) == 0
     assert capsys.readouterr().out == f"{1 << 22}\n"
     assert main(["search", "--galois", "2,22", "--mod", "3", "-t", "5"]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and "up to order 2^20" in err
+    assert out == "" and err.startswith("error: GF(2^22) has") and "up to order 2^20" in err
 
 
 def test_order_bound_is_checked_before_the_modulus_search(monkeypatch, capsys):
@@ -297,11 +289,23 @@ def test_order_bound_is_checked_before_the_modulus_search(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: field order 2^40 exceeds supported range 2^31\n")
 
 
-def test_galois_order_cap_is_inclusive(monkeypatch):
-    monkeypatch.setattr(field, "GALOIS_MAX_ORDER", 27)
+def test_walk_order_cap_is_inclusive_and_checked_first(monkeypatch):
+    # at the cap both kinds walk; above it both are refused, and mul with
+    # them, before the generator is sought or walked
+    def no_call(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(field, "MAX_WALK_ORDER", 27)
     field._galois_tables.cache_clear()
     assert make_field(3, 3).mul(3, 9) == poly_mul(make_field(3, 3), 3, 9)
-    with pytest.raises(ValueError, match="multiplication needs tables"):
+    assert len(generator_powers(make_field(23))) == 22
+    monkeypatch.setattr(field, "multiplicative_generator", no_call)
+    monkeypatch.setattr(field, "_walk", no_call)
+    for spec in (make_field(29), make_field(2, 5), make_field(5, 3)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(spec))} has {spec.order} "
+                                             r"elements; the generator walk"):
+            generator_powers(spec)
+    with pytest.raises(ValueError, match=r"^GF\(2\^5\) has 32 elements"):
         make_field(2, 5).mul(2, 3)
     field._galois_tables.cache_clear()
 
@@ -317,11 +321,15 @@ def test_table_walk_is_checked(monkeypatch):
             build(spec)
 
 
-@pytest.mark.parametrize("spec", [make_field(2, 4), make_field(3, 8)], ids=str)
-def test_generator_powers_is_the_antilog_table(spec):
+@pytest.mark.parametrize("spec", [make_field(2, 4), make_field(3, 8), make_field(1031)],
+                         ids=str)
+def test_generator_powers_is_a_new_walk_each_call(spec):
     g = multiplicative_generator(spec)
     powers = generator_powers(spec)
-    assert powers is generator_powers(spec) is field._galois_tables(spec)[0]  # not a copy
+    again = generator_powers(spec)
+    assert again == powers and again is not powers  # a caller may keep or modify its list
+    if spec.degree > 1:
+        assert field._galois_tables(spec)[0] == powers and spec._tables[0] is not powers
     x = 1
     for i in range(spec.order - 1):
         assert powers[i] == x

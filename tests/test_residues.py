@@ -20,6 +20,8 @@ from helpers import (
     brute_has_mono_clique,
     loop_search_roots,
     plain_witness,
+    poly_add,
+    poly_inv,
     poly_pow,
     subset_witness,
     translate_cosets,
@@ -223,10 +225,9 @@ def test_walk_self_check(monkeypatch, capsys):
     from ramseykit.cli import main
 
     real = field.multiplicative_generator
-    gf16 = make_field(2, 4)  # a new instance: its tables are not built yet
+    gf16 = make_field(2, 4)
     monkeypatch.setattr(field, "multiplicative_generator",
                         lambda spec: poly_pow(spec, real(spec), 3))
-    field._galois_tables.cache_clear()
     with pytest.raises(AssertionError, match="generator is wrong"):
         power_cosets(gf16, 3)
     assert main(["search", "--galois", "2,4", "--mod", "3", "-t", "3"]) == 3
@@ -275,13 +276,14 @@ def test_anharmonic_orbits_partition_the_sieve():
         for root, orbit in orbits:
             values = {sv[i] for i in orbit}
             assert root == min(orbit) and len(orbit) in (1, 2, 3, 6)
-            assert values == {spec.sub(1, x) for x in values} == {spec.inv(x) for x in values}
+            assert values == {spec.sub(1, x) for x in values} == {poly_inv(spec, x) for x in values}
         minus_one = spec.neg(1)
         if minus_one in sv:
             with_minus_one += 1
-            assert spec.inv(minus_one) == minus_one
+            assert poly_inv(spec, minus_one) == minus_one
             orbit = next(o for _, o in orbits if sv.index(minus_one) in o)
-            assert {sv[i] for i in orbit} == {minus_one, spec.add(1, 1), spec.inv(spec.add(1, 1))}
+            two = poly_add(spec, 1, 1)
+            assert {sv[i] for i in orbit} == {minus_one, two, poly_inv(spec, two)}
     assert with_minus_one > 0
 
 

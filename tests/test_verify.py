@@ -237,8 +237,7 @@ def test_bad_generator_walk_stops_the_verifier(monkeypatch, tmp_path, capsys):
     real = field.multiplicative_generator
     monkeypatch.setattr(field, "multiplicative_generator",
                         lambda spec: poly_pow(spec, real(spec), 3))
-    field._galois_tables.cache_clear()
-    gf16 = load_coloring(path)  # a new field: its tables are not built yet
+    gf16 = load_coloring(path)
     with pytest.raises(AssertionError, match="generator is wrong"):
         verify_witness(gf16, (3, 3, 3))
     with pytest.raises(AssertionError, match="generator is wrong"):
@@ -407,7 +406,7 @@ def test_symmetry_true_on_a_composed_witness():
 
 def test_verify_witness_pentagon():
     report = verify_witness(pentagon(), (3, 3))
-    assert report.passed
+    assert report.passed and report.failure is None
     assert report.cliques == (None, None)
 
 
@@ -421,7 +420,10 @@ def test_verify_witness_failure_embeds_clique():
     all_red = ExplicitColoring.from_function(3, 1, lambda u, v: 1)
     report = verify_witness(all_red, (3,))
     assert not report.passed
-    assert report.cliques == ((0, 1, 2),)
+    assert report.cliques == ((0, 1, 2),) and report.failure == (1, (0, 1, 2))
+    # a triangle of color 2 beside a star of color 1: the first failing color
+    star = ExplicitColoring.from_function(4, 2, lambda u, v: 1 if v == 3 else 2)
+    assert verify_witness(star, (3, 3)).failure == (2, (0, 1, 2))
 
 
 def test_verify_witness_target_larger_than_n_passes():
