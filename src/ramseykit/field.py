@@ -300,36 +300,32 @@ def make_field(p: int, k: int = 1) -> FieldSpec:
     return FieldSpec(p, k, canonical_modulus(p, k))
 
 
-def _prime_power(n: int) -> tuple[int, int] | None:
-    """A composite n as p^k, p prime, if it is one: p is n's least divisor,
-    and n is a power of p iff dividing p out leaves 1."""
-    p = next(d for d in range(2, n) if n % d == 0)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
-
-
 def admissible_orders(m: int, lo: int, hi: int, prime_only: bool = False):
     """The fields whose order N lies in [lo, hi] with m | N-1, ascending,
     one at a time, so a caller can print or search each as it is found.
 
     Primes always qualify; with prime_only unset, prime powers p^k are
     included as well (with the canonical modulus).  Orders for which no
-    field exists are skipped silently.
+    field exists are skipped silently.  A prime power p^k, k >= 2, is
+    looked up among the powers of the primes p with p^2 up to the order
+    scanned, each prime's powers listed once the scan reaches its square.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
+    powers, p = {}, 2  # p^k -> (p, k) for k >= 2, of every prime below p
     for n in range(max(lo, 2), hi + 1):
         if (n - 1) % m:
             continue
         if is_prime(n):
             yield FieldSpec(n)
         elif not prime_only:
-            pk = _prime_power(n)
-            if pk is not None:
-                yield make_field(*pk)
+            while p * p <= n:
+                if is_prime(p):
+                    powers.update((p ** k, (p, k)) for k in range(2, hi.bit_length())
+                                  if p ** k <= hi)
+                p += 1
+            if n in powers:
+                yield make_field(*powers[n])
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -16,34 +16,46 @@ searched by least member, and each orbit's members are excluded from the
 orbits after it, so every candidate of an orbit lies above its least
 member.
 
-Symmetry.  Before searching, the verifier looks for a symmetry of the
-coloring, proves it from the coloring's own data, and turns it into one
-search plan per color; it never trusts how the coloring was built.  A
-color with no plan from a proved symmetry gets the full scan (below).
+Symmetry.  Before searching, the verifier looks for one symmetry of the
+coloring: a vertex permutation sigma and the color map pi it induces
+(sigma maps every edge of color c to one of color pi(c)).  It proves the
+pair from the coloring's own data, never trusting how the coloring was
+built, and derives every color's plan from it by one rule:
+
+* a color c whose pi-cycle holds a lesser color with the same target
+  follows the least such color, its leader: a power of sigma maps the
+  leader's cliques onto c's, so the leader's miss decides c in 0 nodes
+  (method ``colour-orbit of <leader>``), and after the leader's hit c is
+  searched by the plan of the next case, its own;
+* every other color c is searched from one root per orbit of sigma^L, L
+  the length of c's pi-cycle, earlier orbits excluded: sigma^L maps the
+  cliques of color c onto themselves.
+
 Whatever the plan, ``parallel.orbit_search`` returns the least k-clique
 through the plan's prefix, or proves by a miss that there is none (see
 ``parallel`` for why its first hit is the least clique), so the reported
 clique is always the lexicographically least one and certificates do not
 depend on the plan.  ``VerificationReport.searches`` records each color's
-method.
+method.  Two finders give sigma; a coloring for which its finder proves
+nothing gets the full scan (below) for every color.
 
-* Circulant colorings: edge orbits (method ``edge-orbits d=<d>``).
-  Translating a clique by the negation of one of its vertices gives a
-  clique through 0 of the same color, and a multiplier x -> hx that
-  preserves every edge color fixes 0 and maps cliques to cliques.  The
-  verifier walks the powers of the least generator g (the walk must return
-  to 1 after exactly n - 1 steps without a repeat) and takes the least
-  d | n - 1 for which the color of g^i depends only on i mod d, an O(n)
-  proof that g^d preserves every color.  For color c it then searches one
-  edge (0, s) per orbit of <g^d> on the connection set S_c, s the orbit's
-  least member, and excludes each orbit's members from the orbits searched
-  after it.  The least clique of the color passes through 0 (translate it
-  by the negation of its least vertex), so the first hit is it.  When only
-  the identity preserves the colors (d = n - 1) every orbit is one vertex
-  and this is the search of every clique through 0.  On the
-  Greenwood-Gleason cubic-residue colorings d = 3 and each color is one
-  orbit: the K6 proof for Z_691 visits 1,491 nodes (98,243 rooted at 0),
-  the K7 proof for Z_1213 5,795 (584,275).
+* Circulant colorings: sigma is the multiplier x -> g^e x.  The verifier
+  walks the powers of the least generator g (the walk must return to 1
+  after exactly n - 1 steps without a repeat), reads the color of each
+  g^i, and takes the least e | n - 1 for which shifting that sequence by
+  e is a color bijection pi (the color of g^(i+e) is pi of the color of
+  g^i): an O(n) proof that sigma maps each color onto pi of it.  A
+  translate of a clique by the negation of its least vertex is a clique
+  through 0 of the same color, and sigma^L = x -> g^d x, d = eL, fixes 0,
+  so color c searches one edge (0, s) per orbit of <g^d> on its connection
+  set S_c, s the orbit's least member (method ``edge-orbits d=<d>``).  The
+  least clique of the color passes through 0, so the first hit is it.
+  When only the identity permutes the colors (e = n - 1) every orbit is
+  one vertex and this is the search of every clique through 0.  On the
+  Greenwood-Gleason cubic-residue colorings e = 1 and pi = (1 2 3): color
+  1 is one orbit of <g^3> and colors 2 and 3 follow it.  The K5 proof for
+  Z_241 visits 17 nodes, the K6 proof for Z_691 509 (98,243 rooted at 0),
+  the K7 proof for Z_1213 1,997 (584,275).
 
 * Explicit colorings: the copy cycle of a triple-copy composition.  In
   the composed witness of ``construct``, the last vertex (in the G part)
@@ -62,23 +74,18 @@ method.
   transposed block, b^2 bytes, and no n^2 matrix (10 ms at 1493 vertices,
   65 ms at 4634).  A row that does not match, or a pi that is not a
   bijection of 1..C, rejects it.  The candidate is read off a few edges
-  (0.2 ms at 1493 vertices); the proof runs only when a color's plan
-  below would use the rotation, so a search for one color of a pi-cycle,
-  or of a coloring whose candidate pi is no bijection, does not pay for
-  it.  Once
-  proved, sigma maps each color-c clique to a color-pi(c) clique, so
-  - the colors of one pi-cycle whose targets are all equal (1, 2 and 3 of
-    a composed witness) are decided by a full scan of the least of them
-    (method ``colour-orbit of <c>`` for the others, which are searched
-    only after a hit);
-  - a color that pi fixes is searched from one root per orbit of <sigma>
-    ({i, i+b, i+2b} for i < b, then each v >= 3b alone), earlier orbits
-    excluded (method ``vertex-orbits b=<b>``);
-  - any other color gets the full scan.
-  Verifying the 1493-vertex chain witness against K3 visits 3,429 nodes
-  instead of 10,124.  The idea is orbit pruning under a checked
-  automorphism group, as in McKay & Piperno, Practical graph isomorphism
-  II (2014).
+  (0.2 ms at 1493 vertices); the proof runs only when some color's plan
+  uses sigma, so a search for one color of a pi-cycle, or of a coloring
+  whose candidate pi is no bijection, does not pay for it.  sigma^1 gives
+  the orbits {i, i+b, i+2b} for i < b, then each v >= 3b alone (method
+  ``vertex-orbits b=<b>``), and sigma^3 is the identity, whose orbits are
+  single vertices: the full scan.  In a composed witness colors 1, 2 and 3
+  form one pi-cycle, so color 1 is scanned in full and colors 2 and 3
+  follow it, while pi fixes every later color.  Verifying the 1493-vertex
+  chain witness against K3 visits 3,429 nodes instead of 10,124.
+
+The idea is orbit pruning under a checked automorphism group, as in
+McKay & Piperno, Practical graph isomorphism II (2014).
 
 A full scan (method ``full``) searches from every root, each vertex its
 own orbit, in one process.
@@ -111,7 +118,8 @@ class _Plan(record("_Plan", "method orbits prefix leader", (None, (), None))):
     """How to search one color: ``method`` as reported in
     ``ColorSearch.method``; ``orbits`` for ``parallel.orbit_search`` (None:
     a full scan); ``prefix``, the vertices every orbit-searched clique
-    holds; ``leader``, the color whose miss proves this one's."""
+    holds; ``leader``, the color whose miss proves this one's, which the
+    report then gives as method ``colour-orbit of <leader>``."""
 
     __slots__ = ()
 
@@ -119,20 +127,36 @@ class _Plan(record("_Plan", "method orbits prefix leader", (None, (), None))):
 _FULL = _Plan("full")
 
 
-def _edge_orbits(coloring: EdgeColoring) -> tuple[int, dict]:
-    """For a circulant coloring: d, and per color c the orbits of the
-    verified multiplier group <g^d> on S_c, each as (least member,
-    members), least first."""
-    field, n = coloring.field, coloring.n
-    powers = generator_powers(field)
+def _cycle(pi: bytes, c: int) -> list[int]:
+    """The colors of c's pi-cycle, c first."""
+    cycle = [c]
+    while pi[cycle[-1]] != c:
+        cycle.append(pi[cycle[-1]])
+    return cycle
+
+
+def _edge_orbits(coloring: EdgeColoring) -> tuple[bytes, dict, dict]:
+    """For a circulant coloring: pi, the color map of sigma: x -> g^e x, as a
+    bytes.translate table; per color c the orbits of sigma^L = <g^d> on S_c
+    (L the length of c's pi-cycle, d = eL), each as (least member,
+    members), least first; and per color its d."""
+    n = coloring.n
+    powers = generator_powers(coloring.field)
     colors = bytes(coloring.edge_color(0, x) for x in powers)  # color of g^i
-    d = next(d for d in range(1, n) if (n - 1) % d == 0
-             and colors == colors[:d] * ((n - 1) // d))
-    orbits = {c: [] for c in range(1, coloring.num_colors + 1)}
-    for r in range(d):
-        members = powers[r::d]  # g^r <g^d>
-        orbits[colors[r]].append((min(members), members))
-    return d, {c: sorted(o) for c, o in orbits.items()}
+    for e in (e for e in range(1, n) if (n - 1) % e == 0):  # e = n - 1 always holds
+        shifted = colors[e:] + colors[:e]  # the color of g^(i+e)
+        # pi(c) is read at the last g^i of color c; a color that does not
+        # occur maps to itself, and as the shift permutes the g^i, a pi that
+        # passes maps the colors that occur onto themselves
+        pi = bytes.maketrans(colors, shifted)
+        if colors.translate(pi) == shifted:
+            break
+    orbits, ds = {}, {}
+    for c in range(1, coloring.num_colors + 1):
+        d = ds[c] = e * len(_cycle(pi, c))
+        members = [powers[r::d] for r in range(d) if colors[r] == c]  # g^r <g^d>
+        orbits[c] = sorted((min(m), m) for m in members)
+    return pi, orbits, ds
 
 
 def _copy_cycle(coloring: EdgeColoring) -> tuple[int, bytes] | None:
@@ -195,47 +219,39 @@ def _rotates(coloring: EdgeColoring, b: int, pi: bytes) -> bool:
 
 def _plans(coloring: EdgeColoring, targets: dict[int, int],
            symmetry: bool) -> dict[int, _Plan]:
-    """A search plan for each color in ``targets`` (color -> clique size)."""
+    """A search plan for each color in ``targets`` (color -> clique size),
+    by the one rule of the module docstring."""
     full = dict.fromkeys(targets, _FULL)
     if not symmetry:
         return full
     if coloring.is_circulant:
-        d, orbits = _edge_orbits(coloring)
-        return {c: _Plan(f"edge-orbits d={d}", orbits[c], (0,)) for c in targets}
-    candidate = _copy_cycle(coloring)
-    plans = full if candidate is None else _rotation_plans(coloring, targets, *candidate)
-    # the n^2 proof is paid only when a plan uses the rotation
-    if all(plan is _FULL for plan in plans.values()) or not _rotates(coloring, *candidate):
-        return full
-    return plans
-
-
-def _rotation_plans(coloring: EdgeColoring, targets: dict[int, int], b: int,
-                    pi: bytes) -> dict[int, _Plan]:
-    """The plans that the copy cycle (b, pi), once proved, gives the targets."""
-    vertex_orbits = _Plan(f"vertex-orbits b={b}",
-                          [(i, [i, i + b, i + 2 * b]) for i in range(b)]
-                          + [(v, [v]) for v in range(3 * b, coloring.n)])
+        pi, orbits, ds = _edge_orbits(coloring)
+        own = {c: _Plan(f"edge-orbits d={ds[c]}", orbits[c], (0,)) for c in targets}
+    else:
+        candidate = _copy_cycle(coloring)
+        if candidate is None:
+            return full
+        b, pi = candidate
+        vertex_orbits = _Plan(f"vertex-orbits b={b}",
+                              [(i, [i, i + b, i + 2 * b]) for i in range(b)]
+                              + [(v, [v]) for v in range(3 * b, coloring.n)])
+        # sigma^3 is the identity: every vertex its own orbit
+        own = {c: vertex_orbits if len(_cycle(pi, c)) % 3 else _FULL for c in targets}
     plans = {}
     for c, k in targets.items():
-        cycle = [c]
-        while pi[cycle[-1]] != c:
-            cycle.append(pi[cycle[-1]])
-        if len(cycle) == 1:
-            plans[c] = vertex_orbits
-        elif min(cycle) < c and all(targets.get(x) == k for x in cycle):
-            plans[c] = _Plan(f"colour-orbit of {min(cycle)}", leader=min(cycle))
-        else:
-            plans[c] = _FULL
+        leader = min(x for x in _cycle(pi, c) if targets.get(x) == k)
+        plans[c] = own[c]._replace(leader=leader) if leader < c else own[c]
+    # the copy cycle's n^2 proof is paid only when a plan uses it
+    if not coloring.is_circulant and plans != full and not _rotates(coloring, b, pi):
+        return full
     return plans
 
 
 def _find(coloring: EdgeColoring, color: int, k: int,
           plan: _Plan) -> tuple[tuple[int, ...] | None, int]:
     rows = coloring.neighbor_rows(color)
-    orbits = plan.orbits
-    if orbits is None:  # the full scan: every vertex its own orbit
-        orbits = [(v, (v,)) for v in range(coloring.n)]
+    # the full scan: every vertex its own orbit
+    orbits = [(v, (v,)) for v in range(coloring.n)] if plan.orbits is None else plan.orbits
     if not plan.prefix:
         # rooted at every vertex, the search reads every row: one list, built
         # once, indexes faster and takes the kernel's OR test
@@ -252,9 +268,10 @@ def find_mono_clique(coloring: EdgeColoring, color: int, k: int, *,
 
     Returns None iff no such clique exists, else the lexicographically
     least one, independent of ``symmetry``.
-    ``symmetry`` True searches by any symmetry the verifier proves (edge
-    orbits of a circulant coloring, the copy-cycle rotation of an explicit
-    one), False by the full scan of every root, using no symmetry at all.
+    ``symmetry`` True searches by the symmetry the verifier proves (a
+    multiplier of a circulant coloring, the copy-cycle rotation of an
+    explicit one), False by the full scan of every root, using no symmetry
+    at all.
     """
     coloring._check_color(color)
     if not 2 <= k <= coloring.n:
@@ -312,10 +329,8 @@ def verify_witness(coloring: EdgeColoring, targets, *,
         if plan is None:
             clique, search = None, ColorSearch("k > n", 0)  # K_k cannot fit at all
         elif plan.leader is not None and cliques[plan.leader - 1] is None:
-            clique, search = None, ColorSearch(plan.method, 0)
+            clique, search = None, ColorSearch(f"colour-orbit of {plan.leader}", 0)
         else:
-            if plan.leader is not None:
-                plan = _FULL  # the leader's clique has an image here; find the least
             clique, nodes = _find(coloring, color, k, plan)
             search = ColorSearch(plan.method, nodes)
         cliques.append(clique)

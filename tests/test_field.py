@@ -60,6 +60,28 @@ def test_admissible_orders_prime_powers():
     assert (gf16.characteristic, gf16.degree) == (2, 4)
 
 
+def _trial_prime_power(n):
+    # n = p^k for the least divisor p > 1 of n, or None
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
+@pytest.mark.parametrize("m,lo,hi", [(2, 2, 3000), (3, 1000, 5000), (4, 3125, 3125),
+                                     (2, 2187, 2200), (5, 60000, 66000)])
+def test_admissible_orders_match_trial_division(m, lo, hi):
+    # the prime powers listed once the scan reaches each prime's square are
+    # those trial division finds, also in a window that starts at one
+    expected = [pk for n in range(lo, hi + 1) if (n - 1) % m == 0
+                for pk in [_trial_prime_power(n)] if pk is not None]
+    assert [(s.characteristic, s.degree) for s in admissible_orders(m, lo, hi)] == expected
+    assert [s.order for s in admissible_orders(m, lo, hi, prime_only=True)] == [
+        p for p, k in expected if k == 1]
+
+
 @pytest.mark.parametrize("m,lo,hi", [(2, 2, 200), (3, 2, 200), (4, 2, 120), (6, 2, 300)])
 def test_admissible_orders_divisibility(m, lo, hi):
     for spec in admissible_orders(m, lo, hi):

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ramseykit import (
     CirculantColoring,
+    ColorSearch,
     CompositionInput,
     ExplicitColoring,
     FormatError,
@@ -361,6 +362,14 @@ def _cayley(p, k, m):
     return build_cayley_coloring(power_cosets(make_field(p, k), m))
 
 
+def _paired_sextics():
+    # Z_37's six sextic cosets as four colors, 0+3, 1+4, 2 and 5: x -> g^3 x
+    # fixes colors 1 and 2 and swaps 3 and 4
+    field = make_field(37)
+    c = power_cosets(field, 6).cosets
+    return CirculantColoring(field, [c[0] + c[3], c[1] + c[4], c[2], c[5]])
+
+
 @settings(deadline=None, max_examples=60)
 @given(circulant_colorings(), st.integers(2, 5))
 @example(_cayley(17, 1, 2), 4)  # Paley(17): K3s, no K4
@@ -368,6 +377,7 @@ def _cayley(p, k, m):
 @example(_cayley(2, 4, 3), 3)
 @example(_cayley(3, 4, 4), 3)
 @example(_cayley(5, 2, 3), 4)
+@example(_paired_sextics(), 4)  # color 4 follows color 3's miss
 def test_edge_orbits_on_rows_above_match_the_symmetric_rows(col, k):
     # Z_p and GF(p^k): the edge orbits find the same clique in the same nodes
     # on the rows above each vertex as on the symmetric reference rows
@@ -379,6 +389,23 @@ def test_edge_orbits_on_rows_above_match_the_symmetric_rows(col, k):
         targets[color - 1] = k
         search = verify_witness(col, targets).searches[color - 1]
         assert search.method.startswith("edge-orbits") and search.nodes == nodes
+    # one target for every color: a color follows the least color of its
+    # pi-cycle (random connection sets seldom have one, the Cayley colorings'
+    # cosets form one m-cycle), and takes 0 nodes exactly when that color
+    # misses; cliques and verdict are the full scan's
+    report = verify_witness(col, (k,) * col.num_colors)
+    full = verify_witness(col, (k,) * col.num_colors, symmetry=False)
+    assert (report.cliques, report.passed) == (full.cliques, full.passed)
+    pi = verify._edge_orbits(col)[0]
+    for color, search in enumerate(report.searches, 1):
+        cycle = [color]
+        while pi[cycle[-1]] != color:
+            cycle.append(pi[cycle[-1]])
+        leader = min(cycle)
+        if leader < color and report.cliques[leader - 1] is None:
+            assert search == ColorSearch(f"colour-orbit of {leader}", 0)
+        else:
+            assert search.method.startswith("edge-orbits")
 
 
 @st.composite

@@ -106,8 +106,11 @@ def test_symmetry_mode_equivalence(p, m, t):
         assert (rooted is None) == (full is None)
         # the least clique of a circulant coloring always passes through 0
         assert rooted == full
+    # multiplying by g shifts the m cosets cyclically, so colors 2 .. m
+    # follow color 1: decided by its miss, or searched by their own orbits
     report = verify_witness(col, (t,) * m)
-    assert all(s.method.startswith("edge-orbits d=") for s in report.searches)
+    follow = "colour-orbit of 1" if report.cliques[0] is None else f"edge-orbits d={m}"
+    assert _methods(report) == (f"edge-orbits d={m}",) + (follow,) * (m - 1)
 
 
 def _agreement_cases():
@@ -143,10 +146,10 @@ def test_orbit_rooted_root_zero_and_full_scan_agree():
 
 
 def test_orbit_search_node_counts():
-    # one orbit per color on the cubic-residue colorings: the proofs of
-    # R(5,5,5) > 241 and R(6,6,6) > 691 visit 50 and 1,491 nodes, against
-    # 1,534 and 98,243 for every clique through vertex 0
-    for p, k, orbit_nodes, root0_nodes in [(241, 5, 50, 1534), (691, 6, 1491, 98243)]:
+    # one orbit for color 1 of the cubic-residue colorings, which colors 2
+    # and 3 follow: the proofs of R(5,5,5) > 241 and R(6,6,6) > 691 visit 17
+    # and 509 nodes, against 1,534 and 98,243 for every clique through vertex 0
+    for p, k, orbit_nodes, root0_nodes in [(241, 5, 17, 1534), (691, 6, 509, 98243)]:
         col = cubic(p)
         assert verify_witness(col, (k, k, k)).nodes == orbit_nodes
         assert sum(loop_search_roots(col.neighbor_rows(c), k, (0,))[1]
@@ -332,16 +335,31 @@ def test_chain_verifies_by_the_copy_cycle():
 
 
 def test_report_methods_of_circulant_and_plain_explicit_colorings():
-    # circulant colorings take the edge orbits before any rotation guess
+    # circulant colorings take the multiplier before any rotation guess:
+    # x -> gx maps color 1 to 2 to 3, so colors 2 and 3 follow color 1's miss
     report = verify_witness(cubic(691), (6, 6, 6))
-    assert _methods(report) == ("edge-orbits d=3",) * 3
-    assert [s.nodes for s in report.searches] == [509, 462, 520]  # 1,491 in all
+    assert _methods(report) == ("edge-orbits d=3",) + ("colour-orbit of 1",) * 2
+    assert [s.nodes for s in report.searches] == [509, 0, 0]
     # an explicit coloring with no copy cycle: the full scan of every color
     paley13 = paley(13).to_explicit()
     assert not _proved(paley13)
     report = verify_witness(paley13, (3, 14))
     assert _methods(report) == ("full", "k > n")
     assert report.cliques == ((0, 1, 4), None) and report.searches[1].nodes == 0
+
+
+def test_refuted_circulant_searches_the_followers_by_their_own_orbits():
+    # GF(2^10) holds a K6 in color 1, so colors 2 and 3, which follow it,
+    # are searched by their own edge orbits; every least clique equals the
+    # full scan's
+    gf1024 = build_cayley_coloring(power_cosets(make_field(2, 10), 3))
+    report = verify_witness(gf1024, (6, 6, 6))
+    assert report.cliques == ((0, 1, 14, 15, 84, 85), (0, 2, 9, 11, 628, 630),
+                              (0, 3, 4, 7, 376, 379))
+    assert _methods(report) == ("edge-orbits d=3",) * 3
+    assert [s.nodes for s in report.searches] == [4, 4, 4]
+    assert report.failure == (1, (0, 1, 14, 15, 84, 85))
+    assert report.cliques == verify_witness(gf1024, (6, 6, 6), symmetry=False).cliques
 
 
 def test_recolored_edge_rejects_the_rotation():
@@ -377,14 +395,15 @@ def test_rotation_is_proved_only_when_a_plan_uses_it(monkeypatch):
 
 def test_unequal_targets_keep_the_color_cycle_apart():
     # colors 1, 2, 3 are isomorphic under the rotation, but a K4 target for
-    # color 2 is not a K3 target: each is searched on its own
+    # color 2 is not a K3 target: color 2 is searched on its own, while color
+    # 3 still follows color 1, whose target it shares
     h = h50()
     for targets in [(3, 4, 3, 3), (2, 2, 2, 3), (4, 4, 4, 2)]:
         report = verify_witness(h, targets)
         full = verify_witness(h, targets, symmetry=False)
         assert report.cliques == full.cliques
         if len(set(targets[:3])) > 1:
-            assert _methods(report)[:3] == ("full",) * 3
+            assert _methods(report)[:3] == ("full", "full", "colour-orbit of 1")
     # K2 in every color: the hit in color 1 is re-reported in colors 2 and 3
     report = verify_witness(h, (2, 2, 2, 2))
     assert _methods(report) == ("full",) * 3 + ("vertex-orbits b=16",)
