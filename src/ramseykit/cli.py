@@ -1,8 +1,10 @@
 """Command line front end: admissible orders, witness search, build/verify/compose.
 
 Exit codes are a stable contract: 0 pass, 1 refuted, 2 usage error, 3 internal
-failure (a precondition, a closed stdout), 4 malformed input file.  Results go
-to stdout; anything diagnostic goes to stderr.
+failure (a precondition, a closed stdout), 4 malformed input file or an output
+file that cannot be written (input read errors arrive as ``FormatError``, so
+any other ``OSError`` is an output failure).  Results go to stdout; anything
+diagnostic goes to stderr.
 """
 
 from __future__ import annotations

@@ -61,8 +61,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 
+from .clique import Rows
 from .field import FieldSpec
-from .parallel import Rows
 from .records import FormatError, canonical_int
 
 HEADER = "ramsey-coloring v1"

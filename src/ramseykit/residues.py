@@ -10,7 +10,7 @@ by the inverse of another; both operations map the difference set of a
 clique into the coset containing 1.)  This module searches for such
 witnesses directly, which is dramatically cheaper than clique search on
 the full coloring: one process runs the bitset clique kernel of
-``parallel`` on the difference rows of the sieved residues, built on
+``clique`` on the difference rows of the sieved residues, built on
 first use.
 
 Everything comes from one checked walk over the powers g^i of the least
@@ -31,7 +31,7 @@ differences to residue differences: (1 - x) - (1 - y) = y - x, 1/x - 1/y =
 (y - x)/(xy), (1 - r) - 1 = -r and 1/r - 1 = (1 - r)/r, so they map
 cliques of the difference rows to cliques.  The search checks that each
 map is an involution of the list before it prunes anything.  Its first
-hit is the least witness (see ``parallel``); a miss proves that there is
+hit is the least witness (see ``clique``); a miss proves that there is
 none.
 """
 
@@ -41,8 +41,8 @@ from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
+from .clique import Rows, orbit_search
 from .field import FieldSpec, generator_powers
-from .parallel import Rows, orbit_search
 from .records import record
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # false/true bytes to "0"/"1" digits
@@ -221,7 +221,7 @@ def find_normalized_clique(partition: CosetPartition, t: int) -> NormalizedWitne
     element order) or None if the Cayley coloring built from this
     partition contains no monochromatic K_t in any color.  The t - 2
     elements besides 1 form a clique of the difference rows of the sieved
-    residue list (``_diff_rows``); ``parallel.orbit_search`` over the
+    residue list (``_diff_rows``); ``clique.orbit_search`` over the
     anharmonic orbits returns the least such clique, which, the list
     ascending, gives the least witness.
     """

@@ -5,13 +5,13 @@ edge coloring, knows nothing about residues or block composition, and
 every clique it reports is re-checked pairwise before being returned.
 
 Candidate sets are int bitmasks (bit v = vertex v), searched by the
-kernel in ``parallel`` in static ascending vertex order with the usual
+kernel in ``clique`` in static ascending vertex order with the usual
 branch-and-bound prune on |candidates| < vertices still needed.  The
 kernel reads a coloring's ``neighbor_rows``: bit v of row u only for
 v > u, each row built from the coloring's triangle row on first read.  A
 plan rooted at every vertex (a full scan, vertex orbits) builds the whole
 row list once; edge orbits read only the rows they reach.  No search
-reads a bit below a row's own vertex (see ``parallel``): orbits are
+reads a bit below a row's own vertex (see ``clique``): orbits are
 searched by least member, and each orbit's members are excluded from the
 orbits after it, so every candidate of an orbit lies above its least
 member.
@@ -31,13 +31,15 @@ built, and derives every color's plan from it by one rule:
   the length of c's pi-cycle, earlier orbits excluded: sigma^L maps the
   cliques of color c onto themselves.
 
-Whatever the plan, ``parallel.orbit_search`` returns the least k-clique
+Whatever the plan, ``clique.orbit_search`` returns the least k-clique
 through the plan's prefix, or proves by a miss that there is none (see
-``parallel`` for why its first hit is the least clique), so the reported
+``clique`` for why its first hit is the least clique), so the reported
 clique is always the lexicographically least one and certificates do not
 depend on the plan.  ``VerificationReport.searches`` records each color's
-method.  Two finders give sigma; a coloring for which its finder proves
-nothing gets the full scan (below) for every color.
+method.  Two finders, one per kind of coloring, give sigma.  Each returns
+a proved pair, pi with the own plan of a color of pi-cycle length L, or
+None, and a coloring whose finder returns None gets the full scan (below)
+for every color.
 
 * Circulant colorings: sigma is the multiplier x -> g^e x.  The verifier
   walks the powers of the least generator g (the walk must return to 1
@@ -74,15 +76,16 @@ nothing gets the full scan (below) for every color.
   transposed block, b^2 bytes, and no n^2 matrix (10 ms at 1493 vertices,
   65 ms at 4634).  A row that does not match, or a pi that is not a
   bijection of 1..C, rejects it.  The candidate is read off a few edges
-  (0.2 ms at 1493 vertices); the proof runs only when some color's plan
-  uses sigma, so a search for one color of a pi-cycle, or of a coloring
-  whose candidate pi is no bijection, does not pay for it.  sigma^1 gives
-  the orbits {i, i+b, i+2b} for i < b, then each v >= 3b alone (method
-  ``vertex-orbits b=<b>``), and sigma^3 is the identity, whose orbits are
-  single vertices: the full scan.  In a composed witness colors 1, 2 and 3
-  form one pi-cycle, so color 1 is scanned in full and colors 2 and 3
-  follow it, while pi fixes every later color.  Verifying the 1493-vertex
-  chain witness against K3 visits 3,429 nodes instead of 10,124.
+  (0.2 ms at 1493 vertices) and proved before any plan is made, so even a
+  search for one color of a pi-cycle, which sigma cannot prune, pays for
+  the proof; a candidate pi that is no bijection is rejected without it.
+  sigma^1 gives the orbits {i, i+b, i+2b} for i < b, then each v >= 3b
+  alone (method ``vertex-orbits b=<b>``), and sigma^3 is the identity,
+  whose orbits are single vertices: the full scan.  In a composed witness
+  colors 1, 2 and 3 form one pi-cycle, so color 1 is scanned in full and
+  colors 2 and 3 follow it, while pi fixes every later color.  Verifying
+  the 1493-vertex chain witness against K3 visits 3,429 nodes instead of
+  10,124.
 
 The idea is orbit pruning under a checked automorphism group, as in
 McKay & Piperno, Practical graph isomorphism II (2014).
@@ -95,10 +98,11 @@ own orbit, in one process.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 
+from .clique import orbit_search
 from .coloring import EdgeColoring, FormatError, coloring_digest
 from .field import generator_powers
-from .parallel import orbit_search
 from .records import canonical_int, record
 
 CERT_HEADER = "ramsey-certificate v1"
@@ -116,7 +120,7 @@ def _recheck_clique(coloring: EdgeColoring, color: int, clique) -> None:
 
 class _Plan(record("_Plan", "method orbits prefix leader", (None, (), None))):
     """How to search one color: ``method`` as reported in
-    ``ColorSearch.method``; ``orbits`` for ``parallel.orbit_search`` (None:
+    ``ColorSearch.method``; ``orbits`` for ``clique.orbit_search`` (None:
     a full scan); ``prefix``, the vertices every orbit-searched clique
     holds; ``leader``, the color whose miss proves this one's, which the
     report then gives as method ``colour-orbit of <leader>``."""
@@ -135,11 +139,12 @@ def _cycle(pi: bytes, c: int) -> list[int]:
     return cycle
 
 
-def _edge_orbits(coloring: EdgeColoring) -> tuple[bytes, dict, dict]:
-    """For a circulant coloring: pi, the color map of sigma: x -> g^e x, as a
-    bytes.translate table; per color c the orbits of sigma^L = <g^d> on S_c
-    (L the length of c's pi-cycle, d = eL), each as (least member,
-    members), least first; and per color its d."""
+def _multiplier(coloring: EdgeColoring) -> tuple[bytes, Callable]:
+    """For a circulant coloring: the proved (pi, plan) of sigma: x -> g^e x,
+    pi as a bytes.translate table; never None, as e = n - 1 (the identity)
+    always passes.  ``plan(c, L)`` searches color c, L the length of its
+    pi-cycle, from one edge (0, s) per orbit of sigma^L = <g^d> on S_c
+    (d = eL), s the orbit's least member, least first."""
     n = coloring.n
     powers = generator_powers(coloring.field)
     colors = bytes(coloring.edge_color(0, x) for x in powers)  # color of g^i
@@ -151,18 +156,20 @@ def _edge_orbits(coloring: EdgeColoring) -> tuple[bytes, dict, dict]:
         pi = bytes.maketrans(colors, shifted)
         if colors.translate(pi) == shifted:
             break
-    orbits, ds = {}, {}
-    for c in range(1, coloring.num_colors + 1):
-        d = ds[c] = e * len(_cycle(pi, c))
+
+    def plan(c: int, L: int) -> _Plan:
+        d = e * L
         members = [powers[r::d] for r in range(d) if colors[r] == c]  # g^r <g^d>
-        orbits[c] = sorted((min(m), m) for m in members)
-    return pi, orbits, ds
+        return _Plan(f"edge-orbits d={d}", sorted((min(m), m) for m in members), (0,))
+    return pi, plan
 
 
-def _copy_cycle(coloring: EdgeColoring) -> tuple[int, bytes] | None:
-    """The copy-cycle candidate (b, pi) of an explicit coloring (see the
-    module docstring), pi as a bytes.translate table, read off a few of its
-    edges; None when the leading run of the last row is too long."""
+def _copy_cycle(coloring: EdgeColoring) -> tuple[bytes, Callable] | None:
+    """For an explicit coloring: the proved (pi, plan) of the copy cycle (see
+    the module docstring), pi as a bytes.translate table, or None.  The
+    candidate is read off a few edges and proved by ``_rotates``.
+    ``plan(c, L)`` searches color c by the orbits of sigma^L: vertex orbits
+    when 3 does not divide L, else (sigma^3 is the identity) the full scan."""
     n, color = coloring.n, coloring.edge_color
     if n < 3:
         return None
@@ -180,9 +187,14 @@ def _copy_cycle(coloring: EdgeColoring) -> tuple[int, bytes] | None:
             todo.discard(c)
         if not todo:
             break
-    if sorted(pi[1:coloring.num_colors + 1]) != list(range(1, coloring.num_colors + 1)):
-        return None  # a proved sigma maps the colors present onto themselves
-    return b, bytes(pi)
+    # a proved sigma maps the colors present onto themselves
+    if (sorted(pi[1:coloring.num_colors + 1]) != list(range(1, coloring.num_colors + 1))
+            or not _rotates(coloring, b, pi)):
+        return None
+    vertex_orbits = _Plan(f"vertex-orbits b={b}",
+                          [(i, [i, i + b, i + 2 * b]) for i in range(b)]
+                          + [(v, [v]) for v in range(r, n)])
+    return bytes(pi), lambda c, L: vertex_orbits if L % 3 else _FULL
 
 
 def _rotates(coloring: EdgeColoring, b: int, pi: bytes) -> bool:
@@ -221,29 +233,15 @@ def _plans(coloring: EdgeColoring, targets: dict[int, int],
            symmetry: bool) -> dict[int, _Plan]:
     """A search plan for each color in ``targets`` (color -> clique size),
     by the one rule of the module docstring."""
-    full = dict.fromkeys(targets, _FULL)
-    if not symmetry:
-        return full
-    if coloring.is_circulant:
-        pi, orbits, ds = _edge_orbits(coloring)
-        own = {c: _Plan(f"edge-orbits d={ds[c]}", orbits[c], (0,)) for c in targets}
-    else:
-        candidate = _copy_cycle(coloring)
-        if candidate is None:
-            return full
-        b, pi = candidate
-        vertex_orbits = _Plan(f"vertex-orbits b={b}",
-                              [(i, [i, i + b, i + 2 * b]) for i in range(b)]
-                              + [(v, [v]) for v in range(3 * b, coloring.n)])
-        # sigma^3 is the identity: every vertex its own orbit
-        own = {c: vertex_orbits if len(_cycle(pi, c)) % 3 else _FULL for c in targets}
+    found = symmetry and (_multiplier if coloring.is_circulant else _copy_cycle)(coloring)
+    if not found:
+        return dict.fromkeys(targets, _FULL)
+    pi, plan = found
     plans = {}
     for c, k in targets.items():
-        leader = min(x for x in _cycle(pi, c) if targets.get(x) == k)
-        plans[c] = own[c]._replace(leader=leader) if leader < c else own[c]
-    # the copy cycle's n^2 proof is paid only when a plan uses it
-    if not coloring.is_circulant and plans != full and not _rotates(coloring, b, pi):
-        return full
+        cycle = _cycle(pi, c)
+        leader = min(x for x in cycle if targets.get(x) == k)
+        plans[c] = plan(c, len(cycle))._replace(leader=leader if leader < c else None)
     return plans
 
 

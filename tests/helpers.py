@@ -314,7 +314,7 @@ def full_row_find(coloring, color, k, symmetry=True):
     every root (from 0 alone for edge orbits, whose cliques pass through 0),
     the nodes of the verifier's plan searched on those rows."""
     from ramseykit import verify
-    from ramseykit.parallel import orbit_search
+    from ramseykit.clique import orbit_search
 
     plan = verify._plans(coloring, {color: k}, symmetry)[color]
     rows = symmetric_rows(coloring, color)

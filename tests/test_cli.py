@@ -178,6 +178,21 @@ def test_verify_missing_file_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["build", "compose", "verify"])
+def test_unwritable_output_exits_4(tmp_path, capsys, command):
+    # an output file in a directory that does not exist: the OSError exits 4,
+    # with nothing on stdout
+    gf16, k2, out = tmp_path / "gf16.col", tmp_path / "k2.col", tmp_path / "no" / "out"
+    save_coloring(build_cayley_coloring(power_cosets(make_field(2, 4), 3)), gf16)
+    save_coloring(ExplicitColoring(2, 1, b"\x01"), k2)
+    argv = {"build": ["build", "-p", "2", "-k", "4", "-m", "3", "-o", out],
+            "compose": ["compose", "--t", gf16, "--g", k2, "--targets", "3", "-o", out],
+            "verify": ["verify", "-i", gf16, "--targets", "3,3,3", "--cert", out]}
+    code, stdout, err = run(capsys, *map(str, argv[command]))
+    assert (code, stdout) == (4, "")
+    assert err.startswith("error: [Errno 2] ")
+
+
 def test_build_inadmissible_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "build", "-p", "7", "-m", "4",
                        "-o", str(tmp_path / "x"))
@@ -496,8 +511,8 @@ def test_full_scan_of_2048_vertices_starts_no_pool(tmp_path):
 
 # what each command loads of the package, besides ramseykit itself
 _PRIMES = {"cli", "field", "records"}
-_SEARCH = _PRIMES | {"residues", "parallel"}
-_VERIFY = _PRIMES | {"coloring", "verify", "parallel"}  # no residues, no construct
+_SEARCH = _PRIMES | {"residues", "clique"}
+_VERIFY = _PRIMES | {"coloring", "verify", "clique"}  # no residues, no construct
 _COMMAND_MODULES = {
     "primes": _PRIMES,
     "search": _SEARCH,

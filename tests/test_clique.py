@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseykit import build_cayley_coloring, make_field, parallel, power_cosets
-from ramseykit.parallel import _DENSE, Rows, orbit_search
+from ramseykit import build_cayley_coloring, make_field, power_cosets
+from ramseykit.clique import _DENSE, Rows, orbit_search
 
 from helpers import loop_search_roots, symmetric_rows
 
@@ -114,7 +114,7 @@ def test_first_orbit_hit_is_the_least_clique(graph, k, upper):
 
 
 def _built_on_first_use(rows):
-    """``parallel.Rows`` over ``rows``, and the list of the rows it builds,
+    """``clique.Rows`` over ``rows``, and the list of the rows it builds,
     in order."""
     built = []
 
@@ -164,7 +164,7 @@ def _counting_compress(monkeypatch):
         calls.append(1)
         return itertools.compress(data, selectors)
 
-    monkeypatch.setattr(parallel, "compress", compress)
+    monkeypatch.setattr("ramseykit.clique.compress", compress)
     return calls
 
 

@@ -327,9 +327,8 @@ def test_explicit_file_io_holds_no_copy_of_the_text(tmp_path):
     assert _traced_peak(lambda: save_coloring(h481, path)) < 64 * 1024
     assert _traced_peak(lambda: load_coloring(path)) < 0.75 * size
     assert load_coloring(path)._tri == h481._tri
-    b, pi = verify._copy_cycle(h481)
-    assert verify._rotates(h481, b, pi)
-    assert _traced_peak(lambda: verify._rotates(h481, b, pi)) < h481.n * h481.n // 4
+    assert verify._copy_cycle(h481) is not None  # the rotation is proved
+    assert _traced_peak(lambda: verify._copy_cycle(h481)) < h481.n * h481.n // 4
 
 
 def _load_as_text(path, text):

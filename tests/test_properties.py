@@ -330,7 +330,7 @@ g_part_triangle = chung_compose(CompositionInput(
 def dense_colorings(draw):
     """Two colors on 140..170 vertices: color 1 a random bipartite graph
     (no triangle) of density about 0.45, color 2 the rest, so the K3 search
-    of either color meets candidate sets of ``parallel._DENSE`` or more
+    of either color meets candidate sets of ``clique._DENSE`` or more
     at need == 2, decided by the OR test and the need == 2 loop."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = draw(st.integers(140, 170))
@@ -396,7 +396,7 @@ def test_edge_orbits_on_rows_above_match_the_symmetric_rows(col, k):
     report = verify_witness(col, (k,) * col.num_colors)
     full = verify_witness(col, (k,) * col.num_colors, symmetry=False)
     assert (report.cliques, report.passed) == (full.cliques, full.passed)
-    pi = verify._edge_orbits(col)[0]
+    pi = verify._multiplier(col)[0]
     for color, search in enumerate(report.searches, 1):
         cycle = [color]
         while pi[cycle[-1]] != color:

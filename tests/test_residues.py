@@ -3,7 +3,7 @@
 import pytest
 
 from ramseykit import admissible_orders, build_cayley_coloring, find_mono_clique, make_field
-from ramseykit.parallel import orbit_search
+from ramseykit.clique import orbit_search
 from ramseykit.residues import (
     NormalizedWitness,
     _diff_rows,

@@ -157,8 +157,10 @@ def test_orbit_search_node_counts():
 
 
 def _orbit_sizes(col):
-    return {c: [len(members) for _, members in o]
-            for c, o in verify._edge_orbits(col)[1].items()}
+    # per color, the sizes of the orbits its own multiplier plan searches
+    pi, plan = verify._multiplier(col)
+    return {c: [len(members) for _, members in plan(c, len(verify._cycle(pi, c))).orbits]
+            for c in range(1, col.num_colors + 1)}
 
 
 def test_merged_cosets_have_a_larger_multiplier_group():
@@ -204,7 +206,7 @@ def test_random_partitions_fall_back_to_small_orbits():
 def test_empty_color_class():
     field = make_field(13)
     col = CirculantColoring(field, [list(range(1, field.order)), []])
-    assert verify._edge_orbits(col)[1][2] == []
+    assert _orbit_sizes(col)[2] == []
     for k in (2, 3, 4):
         assert find_mono_clique(col, 1, k) == tuple(range(k))
         assert find_mono_clique(col, 2, k) is None
@@ -312,11 +314,6 @@ def _methods(report):
     return tuple(s.method for s in report.searches)
 
 
-def _proved(coloring):
-    candidate = verify._copy_cycle(coloring)
-    return candidate is not None and verify._rotates(coloring, *candidate)
-
-
 def test_chain_verifies_by_the_copy_cycle():
     # every chain level proves its rotation (b = the input's vertex count):
     # colors 2 and 3 follow from color 1's full scan, and each color >= 4 is
@@ -342,7 +339,7 @@ def test_report_methods_of_circulant_and_plain_explicit_colorings():
     assert [s.nodes for s in report.searches] == [509, 0, 0]
     # an explicit coloring with no copy cycle: the full scan of every color
     paley13 = paley(13).to_explicit()
-    assert not _proved(paley13)
+    assert verify._copy_cycle(paley13) is None
     report = verify_witness(paley13, (3, 14))
     assert _methods(report) == ("full", "k > n")
     assert report.cliques == ((0, 1, 4), None) and report.searches[1].nodes == 0
@@ -362,35 +359,48 @@ def test_refuted_circulant_searches_the_followers_by_their_own_orbits():
     assert report.cliques == verify_witness(gf1024, (6, 6, 6), symmetry=False).cliques
 
 
-def test_recolored_edge_rejects_the_rotation():
+def test_recolored_edge_rejects_the_rotation(monkeypatch):
     # (0, 1) is the first edge of its colors, so pi changes with it; the
     # later edges leave pi as it was and fail only the row comparison
+    proofs, rotates = [], verify._rotates
+    monkeypatch.setattr(verify, "_rotates",
+                        lambda col, b, pi: proofs.append(b) or rotates(col, b, pi))
     h = h50()
     for edge, new in product([(0, 1), (17, 40), (48, 49)], (1, 2, 4)):
         if new == h.edge_color(*edge):
             continue
         broken = ExplicitColoring.from_function(
             h.n, 4, lambda u, v: new if (u, v) == edge else h.edge_color(u, v))
-        assert not _proved(broken)
-        if edge == (0, 1):  # pi is no bijection, so there is no candidate to prove
-            assert verify._copy_cycle(broken) is None
+        proofs.clear()
+        assert verify._copy_cycle(broken) is None
+        # at (0, 1) pi is no bijection, so there is no candidate to prove
+        assert proofs == ([] if edge == (0, 1) else [16])
         report = verify_witness(broken, (3, 3, 3, 3))
         assert _methods(report) == ("full",) * 4
         assert report.cliques == tuple(brute_mono_clique(broken, c, 3) for c in (1, 2, 3, 4))
         assert report.cliques == verify_witness(broken, (3, 3, 3, 3), symmetry=False).cliques
 
 
-def test_rotation_is_proved_only_when_a_plan_uses_it(monkeypatch):
+def test_rotation_is_proved_once_per_symmetric_plan(monkeypatch):
     proofs, rotates = [], verify._rotates
     monkeypatch.setattr(verify, "_rotates",
                         lambda col, b, pi: proofs.append(b) or rotates(col, b, pi))
     h = h50()
-    # color 1 alone: its pi-cycle (1 2 3) has no other target, so the
-    # rotation could not prune it and is not proved
-    assert find_mono_clique(h, 1, 3) is None and proofs == []
-    assert verify_witness(h, (3, 3, 3, 3), symmetry=False).passed and proofs == []
-    # a color pi fixes is searched by vertex orbits, after the proof
-    assert find_mono_clique(h, 4, 3) is None and proofs == [16]
+    # the finder proves its candidate before it returns, even for color 1
+    # alone, whose pi-cycle (1 2 3) holds no other target and which is
+    # scanned in full
+    assert find_mono_clique(h, 1, 3) is None and proofs == [16]
+    report = verify_witness(h, (3, 3, 3, 3))
+    assert report.passed and report.searches[3].method == "vertex-orbits b=16"
+    assert proofs == [16, 16]
+    # symmetry=False looks for no symmetry at all
+    assert verify_witness(h, (3, 3, 3, 3), symmetry=False).passed
+    assert find_mono_clique(h, 4, 3, symmetry=False) is None and proofs == [16, 16]
+    # a candidate that fails the proof gives the full scan of every color
+    monkeypatch.setattr(verify, "_rotates", lambda col, b, pi: proofs.append(b) or False)
+    report = verify_witness(h, (3, 3, 3, 3))
+    assert report.passed and _methods(report) == ("full",) * 4
+    assert proofs == [16, 16, 16]
 
 
 def test_unequal_targets_keep_the_color_cycle_apart():
