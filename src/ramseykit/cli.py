@@ -131,7 +131,7 @@ def _cmd_compose(args) -> int:
     t_coloring = load_coloring(args.t_file)
     g_coloring = load_coloring(args.g_file)
     comp = CompositionInput(t_coloring, g_coloring, args.targets)
-    composed = chung_compose(comp, validate=not args.no_validate)
+    composed = chung_compose(comp)
     save_coloring(composed, args.out)
     print(f"wrote {args.out} (n={composed.n}, colors={composed.num_colors})")
     return EXIT_PASS
@@ -193,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness avoiding (k1,...,kr), r colors")
     p.add_argument("--targets", type=_parse_targets, required=True, help="k1,...,kr")
     p.add_argument("-o", dest="out", required=True, help="output coloring file")
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip verifying the inputs first")
     p.set_defaults(func=_cmd_compose)
     return top
 

@@ -78,21 +78,25 @@ class CompositionInput(record("CompositionInput", "t_witness g_witness targets")
         return super().__new__(cls, t_witness, g_witness, targets)
 
 
-def chung_compose(comp: CompositionInput, validate: bool = True) -> ExplicitColoring:
-    """Assemble the composed witness H (always explicit).
+def chung_compose(comp: CompositionInput) -> ExplicitColoring:
+    """Assemble the composed witness H (always explicit) from proved inputs.
 
-    With validate set (the default), both inputs are first verified
-    against their intended targets; composing from an invalid witness
-    silently produces garbage bounds, so opting out is only sensible for
-    pre-certified inputs.
+    T is verified against (3, 3, k_1, ..., k_r) and then G against
+    (k_1, ..., k_r); the first failure raises CompositionError, since H
+    bounds nothing unless both are witnesses.  ``_assemble`` is the row
+    assembly alone.
     """
-    T, G, targets = comp.t_witness, comp.g_witness, comp.targets
-    if validate:
-        for which, witness, ks in (("T", T, (3, 3) + targets), ("G", G, targets)):
-            failure = verify_mod.verify_witness(witness, ks).failure
-            if failure is not None:
-                raise CompositionError(which, *failure)
+    for which, witness, ks in (("T", comp.t_witness, (3, 3) + comp.targets),
+                               ("G", comp.g_witness, comp.targets)):
+        failure = verify_mod.verify_witness(witness, ks).failure
+        if failure is not None:
+            raise CompositionError(which, *failure)
+    return _assemble(comp)
 
+
+def _assemble(comp: CompositionInput) -> ExplicitColoring:
+    """Lay out H's rows from T and G, which are taken as given."""
+    T, G, targets = comp.t_witness, comp.g_witness, comp.targets
     nT, nG = T.n, G.n
     n = 3 * nT + nG
     tm = T.matrix()

@@ -9,9 +9,8 @@ residue subgroup.  (Translate the clique so one vertex is 0, then scale
 by the inverse of another; both operations map the difference set of a
 clique into the coset containing 1.)  This module searches for such
 witnesses directly, which is dramatically cheaper than clique search on
-the full coloring: one process runs the bitset clique kernel of
-``clique`` on the difference rows of the sieved residues, built on
-first use.
+the full coloring: the bitset clique kernel of ``clique`` runs on the
+difference rows of the sieved residues, built on first use.
 
 Everything comes from one checked walk over the powers g^i of the least
 generator g: g^i lies in coset i mod m, so the residues are H = g^0, g^m,

@@ -91,7 +91,7 @@ The idea is orbit pruning under a checked automorphism group, as in
 McKay & Piperno, Practical graph isomorphism II (2014).
 
 A full scan (method ``full``) searches from every root, each vertex its
-own orbit, in one process.
+own orbit.
 ``symmetry=False`` gives every color one and looks for no symmetry.
 """
 

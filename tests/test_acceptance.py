@@ -145,8 +145,7 @@ def test_criterion_7_round_trip_and_determinism(tmp_path, capsys):
     # byte-exact round trips for every representation used by criteria 1-4
     gf16 = rk.build_cayley_coloring(rk.power_cosets(rk.make_field(2, 4), 3))
     composed = rk.chung_compose(
-        rk.CompositionInput(gf16, rk.ExplicitColoring(2, 1, b"\x01"), (3,)),
-        validate=False)
+        rk.CompositionInput(gf16, rk.ExplicitColoring(2, 1, b"\x01"), (3,)))
     instances = [
         rk.build_cayley_coloring(rk.power_cosets(rk.make_field(241), 3)),
         rk.build_cayley_coloring(rk.power_cosets(rk.make_field(691), 3)),

@@ -217,26 +217,39 @@ def test_compose_pipeline(tmp_path, capsys):
     assert out == "PASS R(3,3,3,3)>=51\n"
 
 
-def test_compose_invalid_witness_exits_1(tmp_path, capsys):
-    t_path = tmp_path / "bad_t.coloring"
-    g_path = tmp_path / "k2.coloring"
-    t_path.write_text("ramsey-coloring v1\nn=3 colors=3 repr=explicit\n1 1\n1\n")
-    g_path.write_text("ramsey-coloring v1\nn=2 colors=1 repr=explicit\n1\n")
-    code, _, err = run(capsys, "compose", "--t", str(t_path), "--g", str(g_path),
-                       "--targets", "3", "-o", str(tmp_path / "h"))
-    assert code == 1
-    assert "refuted" in err
+def _compose_inputs(tmp_path, t_text, g_text):
+    t_path, g_path = tmp_path / "t.coloring", tmp_path / "g.coloring"
+    t_path.write_text(t_text)
+    g_path.write_text(g_text)
+    return "compose", "--t", str(t_path), "--g", str(g_path), "--targets", "3"
 
 
-def test_compose_no_validate(tmp_path, capsys):
-    t_path = tmp_path / "bad_t.coloring"
-    g_path = tmp_path / "k2.coloring"
-    t_path.write_text("ramsey-coloring v1\nn=3 colors=3 repr=explicit\n1 1\n1\n")
-    g_path.write_text("ramsey-coloring v1\nn=2 colors=1 repr=explicit\n1\n")
-    code, out, _ = run(capsys, "compose", "--t", str(t_path), "--g", str(g_path),
-                       "--targets", "3", "-o", str(tmp_path / "h"), "--no-validate")
-    assert code == 0
-    assert "n=11" in out
+_K2 = "ramsey-coloring v1\nn=2 colors=1 repr=explicit\n1\n"
+_RED_K3 = "ramsey-coloring v1\nn=3 colors=3 repr=explicit\n1 1\n1\n"
+
+
+@pytest.mark.parametrize("t_text, g_text, which", [
+    (_RED_K3, _K2, "T input"),  # T holds a color-1 triangle
+    ("ramsey-coloring v1\nn=2 colors=3 repr=explicit\n3\n",  # a valid T ...
+     "ramsey-coloring v1\nn=3 colors=1 repr=explicit\n1 1\n1\n", "G input"),  # ... bad G
+])
+def test_compose_invalid_witness_exits_1(tmp_path, capsys, t_text, g_text, which):
+    # a refuted input writes nothing: no H on stdout and no output file
+    out_path = tmp_path / "h"
+    code, out, err = run(capsys, *_compose_inputs(tmp_path, t_text, g_text),
+                         "-o", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("refuted: ") and which in err
+    assert not out_path.exists()
+
+
+def test_compose_no_validate_is_refused(tmp_path, capsys):
+    # composing without proving the inputs is not an option: a usage error
+    out_path = tmp_path / "h"
+    code, out, _ = run(capsys, *_compose_inputs(tmp_path, _RED_K3, _K2),
+                       "-o", str(out_path), "--no-validate")
+    assert (code, out) == (2, "")
+    assert not out_path.exists()
 
 
 def test_threads_flag_output_identical(tmp_path, capsys):

@@ -18,6 +18,7 @@ from ramseykit import (
     power_cosets,
     verify_witness,
 )
+from ramseykit.construct import _assemble
 
 from helpers import brute_mono_clique
 
@@ -148,10 +149,13 @@ def test_validate_rejects_bad_g():
         chung_compose(CompositionInput(pentagon3(), bad_g, (3,)))
 
 
-def test_no_validate_skips_checks():
+def test_assembly_takes_inputs_as_given_but_compose_proves_them():
+    # the row assembly lays out any inputs; only the proved path is public
     bad_t = ExplicitColoring.from_function(3, 3, lambda u, v: 1)
-    h = chung_compose(CompositionInput(bad_t, single_edge(), (3,)), validate=False)
-    assert h.n == 11
+    comp = CompositionInput(bad_t, single_edge(), (3,))
+    assert _assemble(comp).n == 11
+    with pytest.raises(CompositionError, match="T input"):
+        chung_compose(comp)
 
 
 def test_input_validation():

@@ -12,7 +12,6 @@ from ramseykit import (
     ExplicitColoring,
     FormatError,
     build_cayley_coloring,
-    chung_compose,
     coloring_digest,
     dumps_coloring,
     find_mono_clique,
@@ -23,6 +22,7 @@ from ramseykit import (
     verify,
     verify_witness,
 )
+from ramseykit.construct import _assemble
 
 from helpers import (composed_color, decode_in_chunks, full_row_find, matrix_rotates,
                      symmetric_rows, token_dumps, token_loads, whole_text_load)
@@ -295,7 +295,7 @@ def composition_inputs(draw):
 @given(composition_inputs())
 def test_chung_compose_matches_per_edge_oracle(comp):
     t, g = comp.t_witness, comp.g_witness
-    h = chung_compose(comp, validate=False)
+    h = _assemble(comp)
     expected = ExplicitColoring.from_function(
         3 * t.n + g.n, len(comp.targets) + 3, lambda u, v: composed_color(t, g, u, v))
     assert dumps_coloring(h) == dumps_coloring(expected)
@@ -306,7 +306,7 @@ def test_chung_compose_matches_per_edge_oracle(comp):
 def test_copy_cycle_search_matches_the_full_scan(comp, k):
     # composing plants the copy-cycle rotation, which the verifier must find
     # and prove whatever T and G are; random inputs give hits in most colors
-    h = chung_compose(comp, validate=False)
+    h = _assemble(comp)
     targets = (k,) * h.num_colors
     report = verify_witness(h, targets)
     full = verify_witness(h, targets, symmetry=False)
@@ -321,9 +321,8 @@ def test_copy_cycle_search_matches_the_full_scan(comp, k):
 
 # color 4's only triangle lies in the G part, where the vertex orbits are
 # single vertices
-g_part_triangle = chung_compose(CompositionInput(
-    ExplicitColoring(2, 3, b"\x03"), ExplicitColoring(3, 1, b"\x01\x01\x01"), (3,)),
-    validate=False)
+g_part_triangle = _assemble(CompositionInput(
+    ExplicitColoring(2, 3, b"\x03"), ExplicitColoring(3, 1, b"\x01\x01\x01"), (3,)))
 
 
 @st.composite
@@ -341,7 +340,7 @@ def dense_colorings(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(st.one_of(explicit_colorings(), dense_colorings(),
-                 composition_inputs().map(lambda comp: chung_compose(comp, validate=False))),
+                 composition_inputs().map(_assemble)),
        st.integers(2, 4), st.sampled_from([True, False]))
 @example(g_part_triangle, 3, True)
 def test_search_on_rows_above_matches_the_full_rows(col, k, symmetry):
@@ -421,7 +420,7 @@ def rotation_candidates(draw):
         perm = draw(st.permutations(range(1, col.num_colors + 1)))
         return col, b, bytes([0, *perm, *range(col.num_colors + 1, 256)])
     comp = draw(composition_inputs())
-    col = chung_compose(comp, validate=False)
+    col = _assemble(comp)
     if kind == "recolored":
         u, v = sorted(draw(st.lists(st.integers(0, col.n - 1), min_size=2, max_size=2,
                                     unique=True)))

@@ -54,9 +54,9 @@ def h50():
 
 def chain():
     """The composition chain h50, h155, h481, h1493 (R(3;4) ... R(3;7))."""
-    h155 = chung_compose(CompositionInput(h50(), pentagon(), (3, 3)), validate=False)
-    h481 = chung_compose(CompositionInput(h155, gf16_cubic(), (3, 3, 3)), validate=False)
-    h1493 = chung_compose(CompositionInput(h481, h50(), (3, 3, 3, 3)), validate=False)
+    h155 = chung_compose(CompositionInput(h50(), pentagon(), (3, 3)))
+    h481 = chung_compose(CompositionInput(h155, gf16_cubic(), (3, 3, 3)))
+    h1493 = chung_compose(CompositionInput(h481, h50(), (3, 3, 3, 3)))
     return h50(), h155, h481, h1493
 
 
