@@ -86,12 +86,13 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # one field source: --galois alone, or both --min and --max
+    if (args.lo is None, args.hi is None) != (args.galois is not None,) * 2:
+        print("error: search needs --min and --max (or --galois p,k)", file=sys.stderr)
+        return EXIT_USAGE
     if args.galois is not None:
         specs = [make_field(*args.galois)]
     else:
-        if args.lo is None or args.hi is None:
-            print("error: search needs --min and --max (or --galois p,k)", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
         specs = admissible_orders(args.mod, args.lo, args.hi, prime_only=True)
     targets = ",".join([str(args.t)] * args.mod)
     for spec in specs:
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse's own: a usage error (2) or --help (0)
         return int(exc.code or 0)
     try:
         code = args.func(args)
@@ -217,8 +218,6 @@ def main(argv=None) -> int:
     except CompositionError as exc:
         print(f"refuted: {exc}", file=sys.stderr)
         return EXIT_REFUTED
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

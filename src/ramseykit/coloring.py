@@ -5,8 +5,9 @@ representations are supported:
 
 * circulant: vertices are the elements of a finite field and the color of
   {u, v} depends only on the difference v - u.  Stored as per-color
-  connection sets (each closed under negation, so the coloring is
-  symmetric).
+  connection sets, each closed under negation so that the coloring is
+  symmetric.  The coloring refuses any other set: that is the one
+  negation check of a Cayley build.
 * explicit: one byte per edge in a flat upper-triangular buffer.
 
 Each kind gives its colors a triangle row at a time: ``tri_row(u)``, the
@@ -76,10 +77,6 @@ class EdgeColoring:
 
     n: int
     num_colors: int
-
-    @property
-    def is_circulant(self) -> bool:
-        raise NotImplementedError
 
     def edge_color(self, u: int, v: int) -> int:
         """Color of the edge {u, v}; symmetric, O(1)."""
@@ -165,10 +162,6 @@ class CirculantColoring(EdgeColoring):
         self.connection_sets = sets
         self._diff_color = bytes(diff_color)
 
-    @property
-    def is_circulant(self) -> bool:
-        return True
-
     def edge_color(self, u: int, v: int) -> int:
         self._check_pair(u, v)
         return self._diff_color[self.field.sub(v, u)]
@@ -215,10 +208,6 @@ class ExplicitColoring(EdgeColoring):
         tri = bytes(fn(u, v) for u in range(n - 1) for v in range(u + 1, n))
         return cls(n, num_colors, tri)
 
-    @property
-    def is_circulant(self) -> bool:
-        return False
-
     def edge_color(self, u: int, v: int) -> int:
         self._check_pair(u, v)
         if u > v:
@@ -237,20 +226,14 @@ class ExplicitColoring(EdgeColoring):
         return self
 
 
-def build_cayley_coloring(partition: residues.CosetPartition) -> CirculantColoring:
+def build_cayley_coloring(partition) -> CirculantColoring:
     """Color K_n over the field by coset membership of the vertex difference.
 
     Edge {u, v} gets color 1 + (coset index of v - u); requires -1 to be a
-    residue so the choice of difference direction does not matter.
+    residue so the choice of difference direction does not matter.  The
+    coloring checks that: when -1 is not a residue, coset 0 holds 1 but not
+    -1, and ``CirculantColoring`` refuses it.
     """
-    # imported on the call, not with the module: verify and compose load
-    # colorings without residues, and a partition comes from residues
-    from .residues import negation_closed
-
-    if not negation_closed(partition):
-        raise ValueError(
-            "-1 is not an m-th power residue, so edge colors would depend on "
-            "the direction of differencing")
     return CirculantColoring(partition.field, partition.cosets)
 
 
@@ -268,9 +251,10 @@ def _canonical_lines(coloring: EdgeColoring):
     """The canonical text of a coloring as ASCII byte lines, each ending in
     its newline: what ``dumps_coloring`` joins, ``save_coloring`` writes and
     ``coloring_digest`` hashes."""
-    kind = "circulant" if coloring.is_circulant else "explicit"
+    circulant = isinstance(coloring, CirculantColoring)
+    kind = "circulant" if circulant else "explicit"
     head = [HEADER, f"n={coloring.n} colors={coloring.num_colors} repr={kind}"]
-    if coloring.is_circulant:
+    if circulant:
         f = coloring.field
         if f.degree == 1:
             head.append(f"field={f.characteristic}")
@@ -281,7 +265,7 @@ def _canonical_lines(coloring: EdgeColoring):
                  for i, s in enumerate(coloring.connection_sets, 1)]
     for line in head:
         yield f"{line}\n".encode("ascii")
-    if not coloring.is_circulant:
+    if not circulant:
         yield from map(_row_line, coloring.tri_rows())
 
 

@@ -30,7 +30,9 @@ seeks the generator, and so does GF(p^k) ``mul``.  At the cap a walk's
 list takes about 42 MB and under 1 s, and GF(p^k) logs 4 MB more
 (GF(3^8): 0.3 MB, 0.01 s).  Subtraction, negation,
 ``multiplicative_generator``, ``make_field`` and ``admissible_orders``
-still work up to ``MAX_ORDER``.
+still work up to ``MAX_ORDER`` = 2^31, which one check (``_check_order``),
+shared by ``FieldSpec`` and ``canonical_modulus``, enforces before any
+modulus is sought.
 """
 
 from __future__ import annotations
@@ -123,10 +125,7 @@ def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     coefficients (constant term first), so the choice is deterministic
     and every element encoding and coset derived from it is reproducible.
     """
-    if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
-    if k < 1:
-        raise ValueError("degree must be >= 1")
+    _check_order(p, k)  # before the search, whose work grows with p^k
     for low in range(p**k):
         cand = tuple(_decode_digits(low, p, k)) + (1,)
         if _is_irreducible(cand, p):
@@ -294,7 +293,6 @@ def _galois_tables(spec: FieldSpec) -> tuple[list[int], array]:
 
 def make_field(p: int, k: int = 1) -> FieldSpec:
     """The field of p^k elements, with the canonical modulus when k > 1."""
-    _check_order(p, k)  # before the modulus search, whose work grows with p^k
     if k == 1:
         return FieldSpec(p)
     return FieldSpec(p, k, canonical_modulus(p, k))

@@ -101,7 +101,7 @@ import re
 from collections.abc import Callable
 
 from .clique import orbit_search
-from .coloring import EdgeColoring, FormatError, coloring_digest
+from .coloring import CirculantColoring, EdgeColoring, FormatError, coloring_digest
 from .field import generator_powers
 from .records import canonical_int, record
 
@@ -233,7 +233,8 @@ def _plans(coloring: EdgeColoring, targets: dict[int, int],
            symmetry: bool) -> dict[int, _Plan]:
     """A search plan for each color in ``targets`` (color -> clique size),
     by the one rule of the module docstring."""
-    found = symmetry and (_multiplier if coloring.is_circulant else _copy_cycle)(coloring)
+    finder = _multiplier if isinstance(coloring, CirculantColoring) else _copy_cycle
+    found = symmetry and finder(coloring)
     if not found:
         return dict.fromkeys(targets, _FULL)
     pi, plan = found

@@ -107,7 +107,13 @@ def test_missing_subcommand_exits_2(capsys):
 
 
 def test_search_range_requires_min_max(capsys):
-    assert run(capsys, "search", "--mod", "3", "-t", "5")[0] == 2
+    # one field source: --galois alone, or both --min and --max
+    for source in [(), ("--min", "5"), ("--max", "7"),
+                   ("--galois", "2,4", "--min", "5", "--max", "7"),
+                   ("--galois", "2,4", "--min", "5"), ("--galois", "2,4", "--max", "7")]:
+        code, out, err = run(capsys, "search", "--mod", "3", "-t", "3", *source)
+        assert (code, out) == (2, ""), source
+        assert err.count("\n") == 1 and err.startswith("error: "), source
 
 
 def test_build_verify_round_trip(tmp_path, capsys):
@@ -191,6 +197,15 @@ def test_unwritable_output_exits_4(tmp_path, capsys, command):
     code, stdout, err = run(capsys, *map(str, argv[command]))
     assert (code, stdout) == (4, "")
     assert err.startswith("error: [Errno 2] ")
+
+
+def test_build_not_negation_closed_exits_3(tmp_path, capsys):
+    # -1 is not a square mod 7: the coloring refuses the partition
+    out_file = tmp_path / "x.col"
+    code, out, err = run(capsys, "build", "-p", "7", "-m", "2", "-o", str(out_file))
+    assert (code, out) == (3, "")
+    assert "not closed under negation" in err
+    assert not out_file.exists()
 
 
 def test_build_inadmissible_exits_3(tmp_path, capsys):

@@ -38,8 +38,10 @@ def test_pentagon_edge_colors():
 
 
 def test_build_cayley_requires_negation_closure():
+    # -1 is not a square mod 7, so coset 0 holds 1 but not 6
     part = power_cosets(make_field(7), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^connection set for color 1 is not closed under "
+                                         r"negation \(1 present, 6 missing\)$"):
         build_cayley_coloring(part)
 
 

@@ -301,12 +301,14 @@ def test_galois_order_cap(capsys):
 def test_order_bound_is_checked_before_the_modulus_search(monkeypatch, capsys):
     # the least irreducible of degree 40 would be sought by trial division
     # among 2^40 candidates; an order above 2^31 is refused before any search
-    def no_search(p, k):
-        raise AssertionError(f"canonical_modulus({p}, {k}) was called")
+    def no_search(poly, p):
+        raise AssertionError(f"_is_irreducible({poly}, {p}) was called")
 
-    monkeypatch.setattr(field, "canonical_modulus", no_search)
-    with pytest.raises(ValueError, match=r"^field order 2\^40 exceeds supported range 2\^31$"):
-        make_field(2, 40)
+    monkeypatch.setattr(field, "_is_irreducible", no_search)
+    for build in (make_field, canonical_modulus):
+        with pytest.raises(ValueError,
+                           match=r"^field order 2\^40 exceeds supported range 2\^31$"):
+            build(2, 40)
     assert main(["search", "--galois", "2,40", "--mod", "3", "-t", "5"]) == 3
     assert capsys.readouterr() == ("", "error: field order 2^40 exceeds supported range 2^31\n")
 
