@@ -88,7 +88,7 @@ def _cmd_primes(args) -> int:
 def _cmd_search(args) -> int:
     # one field source: --galois alone, or both --min and --max
     if (args.lo is None, args.hi is None) != (args.galois is not None,) * 2:
-        print("error: search needs --min and --max (or --galois p,k)", file=sys.stderr)
+        print("error: search takes --galois p,k or both --min and --max", file=sys.stderr)
         return EXIT_USAGE
     if args.galois is not None:
         specs = [make_field(*args.galois)]

@@ -7,7 +7,9 @@ representations are supported:
   {u, v} depends only on the difference v - u.  Stored as per-color
   connection sets, each closed under negation so that the coloring is
   symmetric.  The coloring refuses any other set: that is the one
-  negation check of a Cayley build.
+  negation check of a Cayley build.  It counts the listed values before
+  it allocates its n-byte table of difference colors, and refuses a value
+  listed twice, in whichever order the values come on the line.
 * explicit: one byte per edge in a flat upper-triangular buffer.
 
 Each kind gives its colors a triangle row at a time: ``tri_row(u)``, the
@@ -49,18 +51,19 @@ layer's buffer, one line and the triangle, never the file or a list of
 lines.
 ``loads_coloring`` feeds ``str.splitlines`` to the same parser.  The parser takes a row of k
 colors as bytes when it is 2k - 1 ASCII characters with a space at every
-odd position and a digit 1..min(C, 9) at every even one.  Every other row
-goes through the token parser (colors of two or three digits, other
-spacing, malformed rows), so both paths accept the same files, build the
-same colorings and raise the same errors.  A wrong number of row lines is
-reported before a malformed row, so the parser reads to the last line
-before it raises a row's error.
+odd position and a digit 1..9 at every even one.  Every other row goes
+through the token parser (colors of two or three digits, other spacing,
+malformed rows), so both paths accept the same files, build the same
+colorings and raise the same errors.  The parser checks syntax only: the
+constructor of each kind is the one check of its colors, for files and
+API callers alike.  A wrong number of row lines is reported before a
+malformed row, so the parser reads to the last line before it raises a
+row's error, and a color outside 1..C after both.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 
 from .clique import Rows
 from .field import FieldSpec
@@ -135,13 +138,14 @@ class CirculantColoring(EdgeColoring):
 
     def __init__(self, field: FieldSpec, connection_sets):
         n = field.order
-        sets = tuple(tuple(sorted(set(map(int, s)))) for s in connection_sets)
+        sets = tuple(tuple(sorted(map(int, s))) for s in connection_sets)
         if not 1 <= len(sets) <= MAX_COLORS:
             raise ValueError(f"need between 1 and {MAX_COLORS} colors")
         listed = sum(map(len, sets))
-        # n bytes only when the sets list enough elements to cover the n - 1
-        # differences: a file's field order may be up to 2^31 - 1
-        diff_color = bytearray(n) if listed >= n - 1 else defaultdict(int)
+        # before the n bytes: a file's field order may be up to 2^31 - 1
+        if listed != n - 1:
+            raise ValueError(f"expected {n - 1} connection values, got {listed}")
+        diff_color = bytearray(n)
         for ci, s in enumerate(sets, 1):
             members = set(s)
             for d in s:
@@ -152,10 +156,8 @@ class CirculantColoring(EdgeColoring):
                         f"connection set for color {ci} is not closed under negation "
                         f"({d} present, {field.neg(d)} missing)")
                 if diff_color[d]:
-                    raise ValueError(f"difference {d} covered by more than one color")
+                    raise ValueError(f"difference {d} is listed twice")
                 diff_color[d] = ci
-        if listed != n - 1:
-            raise ValueError("connection sets do not cover all nonzero differences")
         self.n = n
         self.num_colors = len(sets)
         self.field = field
@@ -245,6 +247,8 @@ _FIELD_RE = re.compile(r"^field=(\d+)(?:\^(\d+) poly=(\d+(?:,\d+)*))?$", re.ASCI
 _TOKENS = [str(c) for c in range(256)]
 _TOKEN_VALUE = {t: c for c, t in enumerate(_TOKENS)}  # canonical decimal only
 _DIGIT_CHAR = b"0123456789" + bytes(246)  # color -> its digit, or 0 from 10 on
+# "1".."9" -> 1..9 and every other byte -> 0, which sends a row to the token parser
+_DIGIT_COLOR = bytes(48) + bytes(range(10)) + bytes(198)
 
 
 def _canonical_lines(coloring: EdgeColoring):
@@ -352,10 +356,6 @@ def _parse_circulant(n: int, num_colors: int, body: list[str]) -> CirculantColor
 
 
 def _parse_explicit(n: int, num_colors: int, lines) -> ExplicitColoring:
-    # digit -> color for the colors 1..min(C, 9); every other byte -> 0
-    digit_color = bytearray(256)
-    for c in range(1, min(num_colors, 9) + 1):
-        digit_color[ord("0") + c] = c
     # One growing triangle: a list of row objects fragments the heap (max RSS
     # 56 against 46 MB verifying the 4634-vertex witness), and a triangle
     # allocated up front would trust the header's n before the rows are read.
@@ -364,7 +364,7 @@ def _parse_explicit(n: int, num_colors: int, lines) -> ExplicitColoring:
         k = n - got  # row got - 1 lists the colors of its edges to the k vertices above
         if k > 0 and fault is None:
             try:
-                tri += _parse_row(got - 1, line, k, num_colors, digit_color)
+                tri += _parse_row(got - 1, line, k)
             except FormatError as exc:
                 fault = exc  # raised once the row count is known to be right
     if got != n - 1:
@@ -374,27 +374,24 @@ def _parse_explicit(n: int, num_colors: int, lines) -> ExplicitColoring:
     return ExplicitColoring(n, num_colors, tri, _adopt=True)
 
 
-def _parse_row(u: int, line: str, k: int, num_colors: int, digit_color) -> bytes:
+def _parse_row(u: int, line: str, k: int) -> bytes:
     """The k colors of row u's line: as bytes when they are digits, else
-    token by token."""
+    token by token.  It checks syntax only: ``ExplicitColoring`` checks
+    that each color is in 1..C."""
     if len(line) == 2 * k - 1 and line.isascii():
         # k colors at the even positions, so k - 1 spaces fill the odd ones
         raw = line.encode("ascii")
-        row = raw[::2].translate(digit_color)
+        row = raw[::2].translate(_DIGIT_COLOR)
         if 0 not in row and raw.count(b" ") == k - 1:
             return row
     tokens = line.split()
     if len(tokens) != k:
         raise FormatError(f"row {u} should list {k} colors, got {len(tokens)}")
     try:
-        row = bytes(map(_TOKEN_VALUE.__getitem__, tokens))
+        return bytes(map(_TOKEN_VALUE.__getitem__, tokens))
     except KeyError as exc:
         raise FormatError(f"row {u}: color {exc.args[0]!r} is not an integer "
                           f"0..255 in canonical decimal") from None
-    lo, hi = min(row), max(row)
-    if lo < 1 or hi > num_colors:
-        raise FormatError(f"color out of range: {lo if lo < 1 else hi}")
-    return row
 
 
 def save_coloring(coloring: EdgeColoring, destination) -> None:

@@ -145,9 +145,9 @@ def _multiplier(coloring: EdgeColoring) -> tuple[bytes, Callable]:
     always passes.  ``plan(c, L)`` searches color c, L the length of its
     pi-cycle, from one edge (0, s) per orbit of sigma^L = <g^d> on S_c
     (d = eL), s the orbit's least member, least first."""
-    n = coloring.n
+    n, row = coloring.n, coloring.tri_row(0)  # row[x - 1]: the color of {0, x}
     powers = generator_powers(coloring.field)
-    colors = bytes(coloring.edge_color(0, x) for x in powers)  # color of g^i
+    colors = bytes(row[x - 1] for x in powers)  # color of g^i
     for e in (e for e in range(1, n) if (n - 1) % e == 0):  # e = n - 1 always holds
         shifted = colors[e:] + colors[:e]  # the color of g^(i+e)
         # pi(c) is read at the last g^i of color c; a color that does not

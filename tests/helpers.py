@@ -282,14 +282,10 @@ def token_loads(text):
         if len(tokens) != n - 1 - u:
             raise FormatError(f"row {u} should list {n - 1 - u} colors, got {len(tokens)}")
         try:
-            row = bytes(map(_TOKEN_VALUE.__getitem__, tokens))
+            rows.append(bytes(map(_TOKEN_VALUE.__getitem__, tokens)))
         except KeyError as exc:
             raise FormatError(f"row {u}: color {exc.args[0]!r} is not an integer "
                               f"0..255 in canonical decimal") from None
-        lo, hi = min(row), max(row)
-        if lo < 1 or hi > num_colors:
-            raise FormatError(f"color out of range: {lo if lo < 1 else hi}")
-        rows.append(row)
     try:
         return ExplicitColoring(n, num_colors, b"".join(rows))
     except ValueError as exc:

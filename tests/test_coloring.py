@@ -110,10 +110,14 @@ def test_circulant_validation():
     f5 = make_field(5)
     with pytest.raises(ValueError, match="negation"):
         CirculantColoring(f5, [(1,), (2, 3, 4)])
-    with pytest.raises(ValueError, match="more than one"):
+    with pytest.raises(ValueError, match="^expected 4 connection values, got 6$"):
         CirculantColoring(f5, [(1, 4), (1, 2, 3, 4)])
-    with pytest.raises(ValueError, match="cover"):
+    with pytest.raises(ValueError, match="^expected 4 connection values, got 2$"):
         CirculantColoring(f5, [(1, 4)])
+    with pytest.raises(ValueError, match="^difference 1 is listed twice$"):
+        CirculantColoring(f5, [(1, 4), (1, 4)])
+    with pytest.raises(ValueError, match="^difference 4 is listed twice$"):
+        CirculantColoring(f5, [(4, 1, 4), (2,)])
 
 
 def test_circulant_validation_odd_characteristic_galois():
@@ -177,11 +181,21 @@ def test_load_rejects_bad_header():
         loads_coloring("ramsey-coloring v9\nn=2 colors=1 repr=explicit\n1\n")
 
 
-def test_load_rejects_color_out_of_range():
-    with pytest.raises(FormatError, match="color out of range"):
+def test_load_rejects_color_out_of_range(tmp_path, capsys):
+    # the reader checks syntax only: a digit above C takes the fast path and
+    # ExplicitColoring refuses it, with the message an API caller gets
+    from ramseykit.cli import main
+
+    with pytest.raises(FormatError, match=r"^color 0 out of range 1\.\.2$"):
         loads_coloring("ramsey-coloring v1\nn=3 colors=2 repr=explicit\n1 0\n2\n")
-    with pytest.raises(FormatError, match="color out of range"):
-        loads_coloring("ramsey-coloring v1\nn=3 colors=2 repr=explicit\n1 3\n2\n")
+    with pytest.raises(ValueError) as exc:
+        ExplicitColoring(3, 2, b"\x01\x03\x02")
+    expected = "color 3 out of range 1..2"
+    assert str(exc.value) == expected
+    path = tmp_path / "c3.col"
+    path.write_text("ramsey-coloring v1\nn=3 colors=2 repr=explicit\n1 3\n2\n")
+    assert main(["verify", "-i", str(path), "--targets", "3,3"]) == 4
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
 
 
 @pytest.mark.parametrize("token", ["01", "+1", "256", "1.0", "x", "-1", "0x1"])
@@ -203,10 +217,29 @@ def test_load_rejects_non_negation_closed_circulant():
 
 def test_load_rejects_uncovered_and_double_covered():
     base = "ramsey-coloring v1\nn=5 colors=2 repr=circulant\nfield=5\n"
-    with pytest.raises(FormatError, match="cover"):
+    with pytest.raises(FormatError, match="^expected 4 connection values, got 2$"):
         loads_coloring(base + "color 1: 1 4\ncolor 2:\n")
-    with pytest.raises(FormatError, match="more than one"):
+    with pytest.raises(FormatError, match="^expected 4 connection values, got 6$"):
         loads_coloring(base + "color 1: 1 4\ncolor 2: 1 2 3 4\n")
+    with pytest.raises(FormatError, match="^difference 1 is listed twice$"):
+        loads_coloring(base + "color 1: 1 4\ncolor 2: 1 4\n")
+
+
+def test_load_rejects_a_repeated_connection_value(tmp_path, capsys):
+    # "1 1 4" lists five values over Z_5, whose four differences it would
+    # cover once merged: the file is refused, not read as the pentagon
+    from ramseykit.cli import main
+
+    text = ("ramsey-coloring v1\nn=5 colors=2 repr=circulant\nfield=5\n"
+            "color 1: 1 1 4\ncolor 2: 2 3\n")
+    expected = "expected 4 connection values, got 5"
+    with pytest.raises(FormatError) as exc:
+        loads_coloring(text)
+    assert str(exc.value) == expected
+    path = tmp_path / "rep.col"
+    path.write_text(text)
+    assert main(["verify", "-i", str(path), "--targets", "3,3"]) == 4
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
 
 
 def test_load_rejects_wrong_row_counts():
@@ -398,15 +431,14 @@ def test_breaks_at_the_text_layers_decode_boundary(tmp_path, brk):
 
 
 @pytest.mark.parametrize("colors, expected", [
-    ("color 1: 1 1000002", "connection sets do not cover all nonzero differences"),
-    ("color 1: 0 1 1000002", "connection value 0 is not a nonzero element"),
-    ("color 1: 1", "connection set for color 1 is not closed under negation "
-                   "(1 present, 1000002 missing)"),
-    ("color 1: 1 1000002\ncolor 2: 1 1000002", "difference 1 covered by more than one color")])
+    ("color 1: 1 1000002", "expected 1000002 connection values, got 2"),
+    ("color 1: 0 1 1000002", "expected 1000002 connection values, got 3"),
+    ("color 1: 1", "expected 1000002 connection values, got 1"),
+    ("color 1: 1 1000002\ncolor 2: 1 1000002", "expected 1000002 connection values, got 4")])
 def test_circulant_file_that_lists_few_elements_allocates_no_order_sized_table(
         tmp_path, capsys, colors, expected):
-    # field=1000003 with two of its 1000002 differences: the faults of an
-    # order-sized table, found with a table of the listed elements
+    # field=1000003 with a few of its 1000002 differences: the count is
+    # refused before the order-sized table of difference colors
     from ramseykit.cli import main
 
     path = tmp_path / "sparse.col"
@@ -425,17 +457,19 @@ def test_circulant_file_that_lists_few_elements_allocates_no_order_sized_table(
 
 def test_odd_characteristic_negation_builds_no_tables(monkeypatch):
     # negation acts on base-p digits: a 4-line GF(3^12) file reaches its
-    # coverage fault without the 531,441-entry log tables, and GF(9) still
-    # checks closure under negation
-    poly = ",".join(map(str, make_field(3, 12).modulus_poly))
+    # count fault, and its field negates, without the 531,441-entry log
+    # tables, and GF(9) still checks closure under negation
+    modulus = make_field(3, 12).modulus_poly
+    poly = ",".join(map(str, modulus))
 
     def no_tables(spec):
         raise AssertionError(f"the tables of {spec} were built")
 
     monkeypatch.setattr(field, "_galois_tables", no_tables)
-    with pytest.raises(FormatError, match="^connection sets do not cover all nonzero differences$"):
+    with pytest.raises(FormatError, match="^expected 531440 connection values, got 2$"):
         loads_coloring(f"ramsey-coloring v1\nn=531441 colors=1 repr=circulant\n"
                        f"field=3^12 poly={poly}\ncolor 1: 1 2\n")
+    assert field.FieldSpec(3, 12, modulus).neg(1) == 2
     gf9 = make_field(3, 2)
     assert CirculantColoring(gf9, [(1, 2, 3, 6), (4, 5, 7, 8)]).edge_color(0, 6) == 1
     with pytest.raises(ValueError, match=r"color 1 is not closed under negation \(3 present, 6 missing\)"):
