@@ -1,5 +1,10 @@
 """Command line front end: admissible orders, witness search, build/verify/compose.
 
+One table, ``_COMMANDS``, gives each command its handler, help line and
+option rows; ``_parse`` reads argv against it, and ``-h``/``--help`` prints
+from it.  No command imports ``argparse``, nor the ``gettext`` and ``locale``
+modules it loads: each command runs as a fresh process and pays its start-up.
+
 Exit codes are a stable contract: 0 pass, 1 refuted, 2 usage error, 3 internal
 failure (a precondition, a closed stdout), 4 malformed input file or an output
 file that cannot be written (input read errors arrive as ``FormatError``, so
@@ -9,9 +14,9 @@ diagnostic goes to stderr.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .field import admissible_orders, make_field
 from .records import CompositionError, FormatError, canonical_int
@@ -53,21 +58,14 @@ def _parse_targets(text: str) -> tuple[int, ...]:
     try:
         return tuple(canonical_int(tok, 2) for tok in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"targets must be comma-separated integers >= 2 in canonical decimal, "
             f"got {text!r}") from None
 
 
 def _number(least: int = 0):
-    """An argparse type: an integer ``least`` or more in canonical decimal."""
-
-    def parse(text: str) -> int:
-        try:
-            return canonical_int(text, least)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
+    """An option reader: an integer ``least`` or more in canonical decimal."""
+    return lambda text: canonical_int(text, least)
 
 
 def _parse_galois(text: str) -> tuple[int, int]:
@@ -75,8 +73,7 @@ def _parse_galois(text: str) -> tuple[int, int]:
         p, k = (canonical_int(tok) for tok in text.split(","))
         return p, k
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected p,k in canonical decimal, got {text!r}") from None
+        raise ValueError(f"expected p,k in canonical decimal, got {text!r}") from None
 
 
 def _cmd_primes(args) -> int:
@@ -138,72 +135,139 @@ def _cmd_compose(args) -> int:
     return EXIT_PASS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_number(1), default=None, metavar="N",
-                        help="accepted and ignored: every search runs in one process")
+class UsageError(Exception):
+    """A command line that ``_COMMANDS`` refuses: the usage line and the error."""
 
-    top = argparse.ArgumentParser(
-        prog="ramseykit",
-        description="Construct and verify lower-bound witnesses for "
-                    "multicolored Ramsey numbers.")
-    sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("primes", parents=[common],
-                       help="list field orders N with m | N-1")
-    p.add_argument("--mod", type=_number(), required=True, metavar="M")
-    p.add_argument("--min", dest="lo", type=_number(), required=True)
-    p.add_argument("--max", dest="hi", type=_number(), required=True)
-    p.add_argument("--prime-only", action="store_true",
-                   help="exclude prime powers")
-    p.set_defaults(func=_cmd_primes)
+# Each command's handler, help line and option rows, --threads first as in
+# argparse's usage line.  A row is (flag, dest, reader, required, default,
+# metavar, help); a reader raises ValueError on a bad value, None is a switch.
+_THREADS = ("--threads", "threads", _number(1), False, None, "N",
+            "accepted and ignored: every search runs in one process")
+_COMMANDS = {
+    "primes": (_cmd_primes, "list field orders N with m | N-1", (
+        _THREADS,
+        ("--mod", "mod", _number(), True, None, "M", "the m that must divide N-1"),
+        ("--min", "lo", _number(), True, None, "LO", "least order"),
+        ("--max", "hi", _number(), True, None, "HI", "greatest order"),
+        ("--prime-only", "prime_only", None, False, False, None, "exclude prime powers"))),
+    "search": (_cmd_search, "search residue colorings for monochromatic cliques", (
+        _THREADS,
+        ("--mod", "mod", _number(), True, None, "M", "number of residue classes / colors"),
+        ("-t", "t", _number(), True, None, "T", "clique size to avoid"),
+        ("--min", "lo", _number(), False, None, "LO", "least prime order"),
+        ("--max", "hi", _number(), False, None, "HI", "greatest prime order"),
+        ("--galois", "galois", _parse_galois, False, None, "P,K",
+         "search the single field GF(p^k) instead of a prime range"))),
+    "build": (_cmd_build, "write the residue Cayley coloring of a field", (
+        _THREADS,
+        ("-p", "p", _number(), True, None, "P", "field characteristic"),
+        ("-k", "degree", _number(), False, 1, "DEGREE", "field degree"),
+        ("-m", "m", _number(), True, None, "M", "number of residue classes"),
+        ("-o", "out", str, True, None, "OUT", "output coloring file"))),
+    "verify": (_cmd_verify, "exhaustively check a coloring against clique targets", (
+        _THREADS,
+        ("-i", "input", str, True, None, "INPUT", "coloring file"),
+        ("--targets", "targets", _parse_targets, True, None, "TARGETS",
+         "comma-separated clique sizes"),
+        ("--cert", "cert", str, False, None, "CERT", "write a certificate file here"))),
+    "compose": (_cmd_compose, "compose two witnesses into a three-extra-color witness", (
+        _THREADS,
+        ("--t", "t_file", str, True, None, "T_FILE",
+         "witness avoiding (3,3,k1,...,kr), r+2 colors"),
+        ("--g", "g_file", str, True, None, "G_FILE", "witness avoiding (k1,...,kr), r colors"),
+        ("--targets", "targets", _parse_targets, True, None, "TARGETS", "k1,...,kr"),
+        ("-o", "out", str, True, None, "OUT", "output coloring file"))),
+}
 
-    p = sub.add_parser("search", parents=[common],
-                       help="search residue colorings for monochromatic cliques")
-    p.add_argument("--mod", type=_number(), required=True, metavar="M",
-                   help="number of residue classes / colors")
-    p.add_argument("-t", type=_number(), required=True,
-                   help="clique size to avoid")
-    p.add_argument("--min", dest="lo", type=_number())
-    p.add_argument("--max", dest="hi", type=_number())
-    p.add_argument("--galois", type=_parse_galois, metavar="P,K",
-                   help="search the single field GF(p^k) instead of a prime range")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("build", parents=[common],
-                       help="write the residue Cayley coloring of a field")
-    p.add_argument("-p", type=_number(), required=True, help="field characteristic")
-    p.add_argument("-k", dest="degree", type=_number(), default=1, help="field degree")
-    p.add_argument("-m", type=_number(), required=True, help="number of residue classes")
-    p.add_argument("-o", dest="out", required=True, help="output coloring file")
-    p.set_defaults(func=_cmd_build)
+def _help(args) -> int:
+    """The handler of ``-h``/``--help``: the usage line, then one line per
+    command, or per option of ``args.command``."""
+    lines = [("-h, --help", "show this help message and exit")]
+    if args.command is None:
+        about = "Construct and verify lower-bound witnesses for multicolored Ramsey numbers."
+        lines += [(name, row[1]) for name, row in _COMMANDS.items()]
+    else:
+        about = _COMMANDS[args.command][1]
+        lines += [(_spelling(row), row[6]) for row in _COMMANDS[args.command][2]]
+    width = max(len(left) for left, _ in lines) + 2
+    print(_usage(args.command), "", about, "", sep="\n")
+    for left, text in lines:
+        print(f"  {left:<{width}}{text}")
+    return EXIT_PASS
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="exhaustively check a coloring against clique targets")
-    p.add_argument("-i", dest="input", required=True, help="coloring file")
-    p.add_argument("--targets", type=_parse_targets, required=True,
-                   help="comma-separated clique sizes")
-    p.add_argument("--cert", default=None, help="write a certificate file here")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("compose", parents=[common],
-                       help="compose two witnesses into a three-extra-color witness")
-    p.add_argument("--t", dest="t_file", required=True,
-                   help="witness avoiding (3,3,k1,...,kr), r+2 colors")
-    p.add_argument("--g", dest="g_file", required=True,
-                   help="witness avoiding (k1,...,kr), r colors")
-    p.add_argument("--targets", type=_parse_targets, required=True, help="k1,...,kr")
-    p.add_argument("-o", dest="out", required=True, help="output coloring file")
-    p.set_defaults(func=_cmd_compose)
-    return top
+def _spelling(row) -> str:
+    return f"{row[0]} {row[5]}" if row[2] else row[0]  # a switch takes no value
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: ramseykit [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"usage: ramseykit {command} [-h]"]
+    words += [_spelling(row) if row[3] else f"[{_spelling(row)}]"
+              for row in _COMMANDS[command][2]]
+    return " ".join(words)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` against ``_COMMANDS``: the namespace of the command's
+    options, its handler as ``func``.  ``-h``/``--help`` gives ``_help`` as
+    the handler.  A value follows its flag as the next word or after ``=``;
+    a repeated option's last value wins.  Anything else raises UsageError
+    naming the argument at fault."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    prog = f"ramseykit {command}" if command else "ramseykit"
+
+    def fail(message: str) -> UsageError:
+        return UsageError(f"{_usage(command)}\n{prog}: error: {message}")
+
+    if not argv:
+        raise fail("the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        return SimpleNamespace(func=_help, command=None)
+    if command is None:
+        raise fail(f"argument command: invalid choice: {argv[0]!r} "
+                   f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    func, _, rows = _COMMANDS[command]
+    args = SimpleNamespace(func=func, **{row[1]: row[4] for row in rows})
+    options = {row[0]: row for row in rows}
+    words = iter(argv[1:])
+    for word in words:
+        if word in ("-h", "--help"):
+            return SimpleNamespace(func=_help, command=command)
+        flag, eq, value = word.partition("=")
+        if flag not in options:
+            raise fail(f"unrecognized arguments: {word}")
+        _, dest, reader, *_ = options[flag]
+        if reader is None:
+            if eq:
+                raise fail(f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if not eq:
+                value = next(words, None)
+                if value is None or (value.startswith("-") and value != "-"):
+                    raise fail(f"argument {flag}: expected one argument")
+            try:
+                value = reader(value)
+            except ValueError as exc:
+                raise fail(f"argument {flag}: {exc}") from None
+        setattr(args, dest, value)
+    # a required option has no default, and no reader returns None
+    missing = [row[0] for row in rows if row[3] and getattr(args, row[1]) is None]
+    if missing:
+        raise fail(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse's own: a usage error (2) or --help (0)
-        return int(exc.code or 0)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit

@@ -38,7 +38,6 @@ modulus is sought.
 from __future__ import annotations
 
 import functools
-from array import array
 
 from .records import record
 
@@ -186,7 +185,7 @@ class FieldSpec(record("FieldSpec", "characteristic degree modulus_poly", (1, No
     # -- arithmetic ------------------------------------------------------
 
     @functools.cached_property
-    def _tables(self) -> tuple[list[int], array]:
+    def _tables(self) -> tuple:
         # (exp, log), held per instance for fast lookups; equal fields
         # share one build
         return _galois_tables(self)
@@ -280,9 +279,12 @@ def _walk(step, n: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _galois_tables(spec: FieldSpec) -> tuple[list[int], array]:
-    """The powers exp of GF(p^k)'s least generator and their logs log, for
-    ``mul``."""
+def _galois_tables(spec: FieldSpec) -> tuple:
+    """The powers exp of GF(p^k)'s least generator (a list) and their logs
+    log (an ``array("I")``), for ``mul``.  No command multiplies, so only
+    ``mul`` loads the ``array`` module."""
+    from array import array
+
     exp = generator_powers(spec)
     n = spec.order
     log = array("I", [n - 1]) * n  # log[0] = N - 1 stands for "no log"

@@ -351,6 +351,55 @@ def test_malformed_argument_exits_2(tmp_path, capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["verify", "-i", "X", "--targets"], "--targets"),
+    (["certify", "--targets", "3,3"], "'certify'"),
+    (["build", "-p", "13", "-m", "2"], "-o"),
+    # no unique-prefix abbreviation and no value attached to a short flag
+    (["verify", "-i", "X", "--tar", "3,3"], "--tar"),
+    (["build", "-p241", "-m", "3", "-o", "z241.col"], "-p241"),
+], ids=["value-missing-at-end", "unknown-command", "required-missing", "abbreviation",
+        "attached-short-value"])
+def test_usage_error_exits_2(tmp_path, capsys, monkeypatch, argv, word):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    # the usage line lists every flag; the error line names the argument
+    assert err.startswith("usage: ramseykit ")
+    assert word in err.splitlines()[-1]
+    assert not (tmp_path / "z241.col").exists()
+
+
+@pytest.mark.parametrize("spelling", [["--targets", "3,3"], ["--targets=3,3"],
+                                      ["--targets", "9", "--targets", "3,3"]],
+                         ids=["next-word", "equals", "last-wins"])
+def test_option_spellings_read_the_same(tmp_path, capsys, spelling):
+    path = _pentagon_file(tmp_path, capsys)
+    assert run(capsys, "verify", *spelling, "-i", str(path)) == (0, "PASS R(3,3)>=6\n", "")
+
+
+# what -h lists, in order: the commands, or a command's flags
+_FLAGS = {
+    None: ["primes", "search", "build", "verify", "compose"],
+    "primes": ["--threads", "--mod", "--min", "--max", "--prime-only"],
+    "search": ["--threads", "--mod", "-t", "--min", "--max", "--galois"],
+    "build": ["--threads", "-p", "-k", "-m", "-o"],
+    "verify": ["--threads", "-i", "--targets", "--cert"],
+    "compose": ["--threads", "--t", "--g", "--targets", "-o"],
+}
+
+
+@pytest.mark.parametrize("command", _FLAGS, ids=str)
+@pytest.mark.parametrize("spelling", ["-h", "--help"])
+def test_help_lists_every_flag(capsys, command, spelling):
+    # help goes to stdout and exits 0, even with required options missing
+    code, out, err = run(capsys, *([command] if command else []), spelling)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: ramseykit {command or '[-h]'}")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    assert listed == ["-h,"] + _FLAGS[command]
+
+
 @pytest.mark.parametrize("argv", [
     ["primes", "--mod", "1", "--min", "2", "--max", "9"],
     ["search", "--mod", "3", "-t", "0", "--min", "7", "--max", "7"],
@@ -440,14 +489,21 @@ def test_orders_stream_to_a_closed_stdout():
     assert (proc.returncode, err) == (3, b"")
 
 
+# modules no command loads: argparse, the gettext and locale modules it
+# loads for its messages, and array, which only GF(p^k) multiplication needs
+_START_UP = ("argparse", "gettext", "locale", "array")
+
+
 def test_import_loads_no_pool_or_hashlib():
     # importing the CLI loads no process pool module and takes no digest
     src = Path(__file__).resolve().parent.parent / "src"
-    # nor for dataclasses, which imports inspect, ast and dis; of the
-    # package it loads what every command runs, and nothing else
-    script = ("import sys, ramseykit.cli\n"
+    # nor dataclasses, which imports inspect, ast and dis, nor a module of
+    # _START_UP that site hooks have not loaded already; of the package it
+    # loads what every command runs, and nothing else
+    script = ("import sys\nbefore = set(sys.modules)\nimport ramseykit.cli\n"
               "print([m for m in ('multiprocessing', 'concurrent.futures', 'hashlib',"
-              " 'dataclasses', 'inspect') if m in sys.modules])\n"
+              " 'dataclasses', 'inspect') if m in sys.modules]"
+              f" + [m for m in {_START_UP!r} if m in sys.modules and m not in before])\n"
               "print(sorted(m for m in sys.modules if m.startswith('ramseykit')))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
@@ -480,13 +536,14 @@ def _h50_file(tmp_path):
 def _main_in_a_fresh_interpreter(argv):
     """``main(argv)`` in a new interpreter without ``site`` (``python -S``;
     site hooks may import ``pathlib``): its stdout, its exit code, which of
-    ``hashlib``, OpenSSL's ``_hashlib``, the process pool modules and
-    ``pathlib`` were imported, and the ``ramseykit`` modules loaded."""
+    ``hashlib``, OpenSSL's ``_hashlib``, the process pool modules,
+    ``pathlib`` and the modules of ``_START_UP`` were imported, and the
+    ``ramseykit`` modules loaded."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = ("import sys\nfrom ramseykit.cli import main\n"
               f"code = main({argv!r})\n"
               "print((code, [m for m in ('hashlib', '_hashlib', 'multiprocessing',"
-              " 'concurrent.futures', 'pathlib') if m in sys.modules],"
+              f" 'concurrent.futures', 'pathlib', *{_START_UP!r}) if m in sys.modules],"
               " sorted(m for m in sys.modules if m.startswith('ramseykit'))))")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
@@ -565,8 +622,9 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
         "compose": ["compose", "--t", str(gf16), "--g", str(k2), "--targets", "3",
                     "-o", str(tmp_path / "h50.col")],
     }[command]
-    _, code, _, modules = _main_in_a_fresh_interpreter(argv)
+    _, code, loaded, modules = _main_in_a_fresh_interpreter(argv)
     assert code == 0
+    assert not set(loaded) & set(_START_UP)
     assert modules == sorted({"ramseykit"} | {f"ramseykit.{m}" for m in
                                               _COMMAND_MODULES[command]})
 
