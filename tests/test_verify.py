@@ -11,6 +11,7 @@ from ramseykit import (
     CompositionInput,
     ExplicitColoring,
     FormatError,
+    RamseyCertificate,
     admissible_orders,
     build_cayley_coloring,
     certify,
@@ -472,8 +473,9 @@ def test_certify_pass(tmp_path):
     cert = certify(pentagon(), (3, 3), cert_path)
     assert cert.passed and cert.bound == 6
     assert cert.statement() == "R(3,3)>=6"
-    text = cert_path.read_text()
-    assert text == (
+    # the bytes, not read_text(), which would read a CRLF file as LF
+    assert cert_path.read_bytes() == cert.to_text().encode("ascii")
+    assert cert.to_text() == (
         "ramsey-certificate v1\n"
         "targets=3,3\n"
         "n=5\n"
@@ -537,6 +539,13 @@ _BAD_CERTIFICATES = {
     "coloring-sha not a digest": _PASS.replace(_SHA, "not-a-digest"),
     "coloring-sha in upper case": _PASS.replace(_SHA, _SHA.upper()),
     "coloring-sha too short": _PASS.replace(_SHA, _SHA[:-1]),
+    # the layout of ``to_text`` alone: its key order, "\n" line breaks and
+    # final newline
+    "keys out of order": _PASS.replace("targets=3,3\nn=5\n", "n=5\ntargets=3,3\n"),
+    "CRLF line breaks": _PASS.replace("\n", "\r\n"),
+    "CR line breaks": _PASS.replace("\n", "\r"),
+    "form-feed line breaks": _PASS.replace("\n", "\f"),
+    "no final newline": _PASS[:-1],
 }
 
 
@@ -550,3 +559,42 @@ def test_read_certificate_rejects(tmp_path, body):
         path.write_bytes(("ramsey-certificate v1\n" + body).encode("utf-8"))
     with pytest.raises(FormatError):
         read_certificate(path)
+
+
+@st.composite
+def certificates(draw):
+    """A valid certificate: targets 2..6, n 1..12, a pass or a fail with a
+    clique of its color's target, and any lowercase hex digest."""
+    targets = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=4)))
+    n = draw(st.integers(1, 12))
+    sha = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
+    fits = [c for c, k in enumerate(targets, 1) if k <= n]
+    if not fits or draw(st.booleans()):
+        return RamseyCertificate(targets, n, True, sha)
+    color = draw(st.sampled_from(fits))
+    k = targets[color - 1]
+    clique = sorted(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
+    return RamseyCertificate(targets, n, False, sha, color, tuple(clique))
+
+
+@settings(deadline=None, max_examples=10)
+@given(certificates())
+def test_read_certificate_reads_only_to_text(tmp_path_factory, cert):
+    path = tmp_path_factory.getbasetemp() / "edited.cert"
+    text = cert.to_text()
+    path.write_bytes(text.encode("ascii"))
+    assert read_certificate(path) == cert
+    # every one-character deletion, and every insertion or replacement of a
+    # line break, a digit or a separator: refused, or read as the
+    # certificate whose text it is
+    edits = {text[:i] + text[i + 1:] for i in range(len(text))}
+    for ch in "\r\n0=,":
+        edits.update(text[:i] + ch + text[i + j:]
+                     for i in range(len(text) + 1) for j in (0, 1))
+    for edited in edits:
+        path.write_bytes(edited.encode("ascii"))
+        try:
+            got = read_certificate(path)
+        except FormatError:
+            continue
+        assert got.to_text() == edited
